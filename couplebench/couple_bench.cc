@@ -1,6 +1,7 @@
 // Couple-trial benchmark binary. Runs one workload's trials through the
-// public API (MakeDataset, CreateModel, RGaeTrainer) on one thread and
-// prints one JSON document of raw results as the last line of stdout.
+// public API (MakeDataset, the GAE/DGAE model classes, RGaeTrainer) on one
+// thread and prints one JSON document of raw results as the last line of
+// stdout.
 // run.py builds this binary, pins its environment, checks the results and
 // turns them into the benchmark's metrics; README.md describes both.
 //
@@ -8,8 +9,8 @@
 //                [--traced --out-dir <dir>]
 //
 // Untraced mode repeats rounds (one trial per dataset of the workload) on
-// the seed's inputs: a minimum per workload, then until the next round
-// would overrun --seconds. Traced mode runs one untraced reference round,
+// the seed's inputs: three, then until the next round would overrun
+// --seconds. Traced mode runs one untraced reference round,
 // one traced round with the profiler on and a span per trial phase, then
 // times the public calls of each layer on a probe model restored from the
 // traced round's R half.
@@ -35,6 +36,8 @@
 #include "src/eval/harness.h"
 #include "src/kernels/kernels.h"
 #include "src/metrics/clustering_metrics.h"
+#include "src/models/dgae.h"
+#include "src/models/gae.h"
 #include "src/models/model_factory.h"
 #include "src/obs/memstat.h"
 #include "src/obs/profile.h"
@@ -59,30 +62,28 @@ struct Workload {
   std::string model;
   /// One trial per dataset makes a round.
   std::vector<std::string> datasets;
-  /// Distinct input instances the rounds cycle through, so a run averages
-  /// over instance-to-instance variation.
-  int instance_sets = 1;
-  /// Rounds per instance set before the --seconds budget is consulted.
-  int min_repeats = 2;
 };
 
 const std::vector<Workload>& Workloads() {
   static const std::vector<Workload> all = {
-      {"pubmed-dgae", "DGAE", {"Pubmed"}, 1, 3},
-      {"airtraffic-gae", "GAE", {"USA", "Europe", "Brazil"}, 3, 2},
+      {"pubmed-dgae", "DGAE", {"Pubmed"}},
+      {"airtraffic-gae", "GAE", {"USA", "Europe", "Brazil"}},
   };
   return all;
 }
 
-// Set-up repetitions before the measured rounds, so setup_s is a median
-// even when only one or two rounds fit in the run.
-constexpr int kExtraSetups = 9;
+// Rounds before the --seconds budget is consulted: the fewest repeats of
+// each stretch that run.py takes the fastest of.
+constexpr int kMinRounds = 3;
 
-// Seed of the trial on the workload's `index`-th dataset in instance set
-// `set`: the dataset generator and the couple's model/trainer seeds all
-// derive from it.
-uint64_t TrialSeed(uint64_t seed, int set, size_t index) {
-  return 1 + seed * 64 + static_cast<uint64_t>(set) * 8 + index;
+// Set-up repetitions before the measured rounds, so setup_s is a median
+// of many samples even when only kMinRounds rounds fit in the run.
+constexpr int kExtraSetups = 19;
+
+// Seed of the trial on the workload's `index`-th dataset: the dataset
+// generator and the couple's model/trainer seeds all derive from it.
+uint64_t TrialSeed(uint64_t seed, size_t index) {
+  return 1 + seed * 64 + index;
 }
 
 // ---------------------------------------------------------------------------
@@ -116,27 +117,65 @@ double Timed(bool traced, const char* name, const std::function<void()>& fn) {
 // Trials.
 // ---------------------------------------------------------------------------
 
+// The library's model class with its PreStep hook stamping the clock, so a
+// call's wall time splits at every TrainStep. Rounds repeat identical work,
+// so run.py can keep the fastest repeat of each stretch between two steps:
+// a slow second on a shared host then costs one stretch, not a whole call.
+template <class Model>
+class StepStamped final : public Model {
+ public:
+  StepStamped(const rgae::AttributedGraph& graph,
+              const rgae::ModelOptions& options,
+              std::vector<Clock::time_point>* stamps)
+      : Model(graph, options), stamps_(stamps) {}
+
+ protected:
+  void PreStep(const rgae::TrainContext& ctx) override {
+    stamps_->push_back(Clock::now());
+    Model::PreStep(ctx);
+  }
+
+ private:
+  std::vector<Clock::time_point>* stamps_;
+};
+
+// CreateModel for the workloads' models, stamping into `stamps`.
+std::unique_ptr<rgae::GaeModel> CreateStampedModel(
+    const std::string& name, const rgae::AttributedGraph& graph,
+    const rgae::ModelOptions& options,
+    std::vector<Clock::time_point>* stamps) {
+  if (name == "GAE") {
+    return std::make_unique<StepStamped<rgae::Gae>>(graph, options, stamps);
+  }
+  if (name == "DGAE") {
+    return std::make_unique<StepStamped<rgae::Dgae>>(graph, options, stamps);
+  }
+  std::fprintf(stderr, "no stamped model for %s\n", name.c_str());
+  std::abort();
+}
+
 // Everything one trial owns. Built by `SetUp` (the timed set-up), consumed
-// by `RunTrial`. Models borrow the graph, so it lives behind a pointer.
+// by `RunTrial`. Models borrow the graph and the step stamps, so both live
+// behind pointers.
 struct Trial {
   std::string dataset;
   uint64_t seed = 0;
   rgae::CoupleConfig config;
   std::unique_ptr<rgae::AttributedGraph> graph;
+  std::unique_ptr<std::vector<Clock::time_point>> stamps;
   std::unique_ptr<rgae::GaeModel> base_model;
   std::unique_ptr<rgae::GaeModel> r_model;
   std::unique_ptr<rgae::RGaeTrainer> base_trainer;
   std::unique_ptr<rgae::RGaeTrainer> r_trainer;
 };
 
-std::vector<Trial> SetUp(const Workload& w, uint64_t seed, int set,
-                         bool traced) {
+std::vector<Trial> SetUp(const Workload& w, uint64_t seed, bool traced) {
   std::vector<Trial> trials;
   for (size_t i = 0; i < w.datasets.size(); ++i) {
     const Span span(traced, "setup");
     Trial t;
     t.dataset = w.datasets[i];
-    t.seed = TrialSeed(seed, set, i);
+    t.seed = TrialSeed(seed, i);
     t.config = rgae::MakeCoupleConfig(w.model, t.dataset, t.seed);
     {
       const Span gen(traced, "graph.generate");
@@ -144,10 +183,14 @@ std::vector<Trial> SetUp(const Workload& w, uint64_t seed, int set,
           rgae::MakeDataset(t.dataset, t.seed));
     }
     const Span create(traced, "models.create");
-    t.base_model = rgae::CreateModel(w.model, *t.graph, t.config.model_options);
+    t.stamps = std::make_unique<std::vector<Clock::time_point>>();
+    t.stamps->reserve(1024);
+    t.base_model = CreateStampedModel(w.model, *t.graph,
+                                      t.config.model_options, t.stamps.get());
     t.base_trainer = std::make_unique<rgae::RGaeTrainer>(t.base_model.get(),
                                                          t.config.base);
-    t.r_model = rgae::CreateModel(w.model, *t.graph, t.config.model_options);
+    t.r_model = CreateStampedModel(w.model, *t.graph, t.config.model_options,
+                                   t.stamps.get());
     t.r_trainer = std::make_unique<rgae::RGaeTrainer>(t.r_model.get(),
                                                       t.config.rvariant);
     trials.push_back(std::move(t));
@@ -172,8 +215,10 @@ struct TrialRecord {
   double pretrain_s = 0.0;
   double cluster_base_s = 0.0;
   double cluster_r_s = 0.0;
-  /// Seconds of each public call (Pretrain, TrainClustering), call order.
-  std::vector<double> calls_s;
+  /// Each public call (Pretrain, TrainClustering, in call order) split at
+  /// its TrainSteps: seconds from the call's start to the first step, from
+  /// each step to the next, and from the last step to the call's end.
+  std::vector<std::vector<double>> calls_s;
   std::vector<Half> halves;
 };
 
@@ -204,12 +249,22 @@ TrialRecord RunTrial(Trial& t, bool traced) {
   rgae::RGaeTrainer& b = *t.base_trainer;
   rgae::RGaeTrainer& r = *t.r_trainer;
   rgae::TrainResult base_result, r_result;
+  std::vector<Clock::time_point>& stamps = *t.stamps;
   // Times one public call of the trial into `*phase` and `calls_s`.
   auto call = [&](const char* name, double* phase,
                   const std::function<void()>& fn) {
-    const double s = Timed(traced, name, fn);
-    *phase += s;
-    rec.calls_s.push_back(s);
+    const Span call_span(traced, name);
+    stamps.clear();
+    Clock::time_point last = Clock::now();
+    fn();
+    stamps.push_back(Clock::now());
+    std::vector<double> stretches;
+    for (const Clock::time_point& stamp : stamps) {
+      stretches.push_back(std::chrono::duration<double>(stamp - last).count());
+      *phase += stretches.back();
+      last = stamp;
+    }
+    rec.calls_s.push_back(std::move(stretches));
   };
 
   if (t.base_model->has_clustering_head()) {
@@ -246,7 +301,6 @@ TrialRecord RunTrial(Trial& t, bool traced) {
 }
 
 struct Round {
-  int instance_set = 0;
   double setup_s = 0.0;
   double wall_s = 0.0;
   /// Process VmHWM once the round ended (MB).
@@ -563,7 +617,6 @@ JsonValue HalfJson(const Half& h) {
 
 JsonValue RoundJson(const Round& round) {
   JsonValue o = JsonValue::MakeObject();
-  o.Set("instance_set", round.instance_set);
   o.Set("setup_s", round.setup_s);
   o.Set("wall_s", round.wall_s);
   o.Set("peak_rss_mb", round.peak_rss_mb);
@@ -577,7 +630,11 @@ JsonValue RoundJson(const Round& round) {
     t.Set("cluster_base_s", rec.cluster_base_s);
     t.Set("cluster_r_s", rec.cluster_r_s);
     JsonValue calls = JsonValue::MakeArray();
-    for (double s : rec.calls_s) calls.Append(JsonValue(s));
+    for (const std::vector<double>& stretches : rec.calls_s) {
+      JsonValue call = JsonValue::MakeArray();
+      for (double s : stretches) call.Append(JsonValue(s));
+      calls.Append(std::move(call));
+    }
     t.Set("calls_s", std::move(calls));
     JsonValue halves = JsonValue::MakeArray();
     for (const Half& h : rec.halves) halves.Append(HalfJson(h));
@@ -669,33 +726,30 @@ int main(int argc, char** argv) {
 
   const auto start = Clock::now();
   std::vector<double> setup_samples;
-  auto timed_setup = [&](int set, bool traced) {
+  auto timed_setup = [&](bool traced) {
     const auto begin = Clock::now();
-    std::vector<Trial> trials = SetUp(*w, args.seed, set, traced);
+    std::vector<Trial> trials = SetUp(*w, args.seed, traced);
     setup_samples.push_back(SecondsSince(begin));
     return trials;
   };
-  for (int i = 0; i < kExtraSetups; ++i) timed_setup(0, false);
+  for (int i = 0; i < kExtraSetups; ++i) timed_setup(false);
 
   JsonValue rounds = JsonValue::MakeArray();
   if (!args.traced) {
-    // Cycle through the instance sets, repeating each on the same inputs
-    // (run.py keeps the fastest repeat of each call): `min_repeats` times,
-    // then while the next round fits.
+    // Repeat rounds on the same inputs (run.py keeps the fastest repeat of
+    // each stretch): kMinRounds times, then while the next round fits.
     for (int i = 0;; ++i) {
-      const int set = i % w->instance_sets;
-      std::vector<Trial> trials = timed_setup(set, false);
+      std::vector<Trial> trials = timed_setup(false);
       Round round = RunRound(trials, false);
-      round.instance_set = set;
       round.setup_s = setup_samples.back();
       rounds.Append(RoundJson(round));
-      if (i + 1 >= w->min_repeats * w->instance_sets &&
+      if (i + 1 >= kMinRounds &&
           SecondsSince(start) + round.setup_s + round.wall_s > args.seconds) {
         break;
       }
     }
   } else {
-    std::vector<Trial> reference = timed_setup(0, false);
+    std::vector<Trial> reference = timed_setup(false);
     Round untraced = RunRound(reference, false);
     untraced.setup_s = setup_samples.back();
     rounds.Append(RoundJson(untraced));
@@ -707,7 +761,7 @@ int main(int argc, char** argv) {
     rgae::obs::SetProfileEnabled(true);
     rgae::obs::Profiler::Global().Reset();
     rgae::obs::MetricsRegistry::Global().Reset();
-    std::vector<Trial> trials = timed_setup(0, true);
+    std::vector<Trial> trials = timed_setup(true);
     Round traced = RunRound(trials, true);
     traced.setup_s = setup_samples.back();
     rgae::obs::SetProfileEnabled(false);

@@ -167,12 +167,9 @@ def round_scores(rnd):
             for t in rnd["trials"] for h in t["halves"]]
 
 
-def rounds_by_set(rounds):
-    """Rounds grouped by instance set: each group repeats the same inputs."""
-    groups = {}
-    for rnd in rounds:
-        groups.setdefault(rnd.get("instance_set", 0), []).append(rnd)
-    return [groups[k] for k in sorted(groups)]
+def round_schedule(rnd):
+    """Stretches per public call: one more than the call's TrainSteps."""
+    return [[len(call) for call in t["calls_s"]] for t in rnd["trials"]]
 
 
 def check(raw, problems):
@@ -195,14 +192,13 @@ def check(raw, problems):
                     failed += 1
                     where = f"round {i} {t['dataset']} {h['variant']}"
                     problems.extend(f"{where}: {p}" for p in bad)
-    # Same seed, same ISA: every repeat of the inputs scores identically
-    # (traced and untraced rounds included).
-    for group in rounds_by_set(rounds):
-        for rnd in group[1:]:
-            if round_scores(rnd) != round_scores(group[0]):
-                problems.append(
-                    f"instance set {rnd.get('instance_set', 0)}: repeats "
-                    "of the same inputs score differently")
+    # Same seed, same ISA: every round repeats the same inputs and scores
+    # identically (traced and untraced rounds included).
+    if any(round_scores(rnd) != round_scores(rounds[0]) for rnd in rounds):
+        problems.append("repeats of the same inputs score differently")
+    if any(round_schedule(rnd) != round_schedule(rounds[0])
+           for rnd in rounds):
+        problems.append("repeats of the same inputs ran different schedules")
     return attempted, failed
 
 
@@ -229,8 +225,7 @@ def check_against_earlier_runs(raw, cache_path, digest, problems):
         with open(cache_path) as f:
             cache = json.load(f)
     key = f"{raw['workload']}|{raw['seed']}|{raw['kernel_isa']}|{digest}"
-    scores = [[list(s) for s in round_scores(group[0])]
-              for group in rounds_by_set(raw["rounds"])]
+    scores = [list(s) for s in round_scores(raw["rounds"][0])]
     if key in cache and cache[key] != scores:
         problems.append(f"scores differ from an earlier run of seed "
                         f"{raw['seed']} on {raw['kernel_isa']}")
@@ -245,44 +240,42 @@ def check_against_earlier_runs(raw, cache_path, digest, problems):
 # Metrics.
 # ---------------------------------------------------------------------------
 
-def halves_of(rounds, variant):
-    return [h for rnd in rounds for t in rnd["trials"] for h in t["halves"]
-            if h["variant"] == variant]
-
-
 def best_trial_seconds(rounds):
-    """Wall seconds of each trial of a round, from the fastest of the run's
-    identical repeats of each public call (and of the glue between calls).
-    Rounds repeat the same deterministic work, so the fastest repeat is the
-    cost without the multi-second co-tenant slowdowns of a shared host."""
+    """Wall seconds of each trial of a round. Each public call is split at
+    its TrainSteps; every stretch (a step plus the refreshes and checks the
+    trainer runs before the next one), and the glue between calls, counts
+    with its fastest repeat in the run. Rounds repeat the same deterministic
+    work (the check holds them to one schedule), so this is the cost without
+    the slow seconds a co-tenant of a shared host causes."""
     best = []
-    for i, first in enumerate(rounds[0]["trials"]):
-        repeats = [r["trials"][i] for r in rounds]
-        calls = [min(t["calls_s"][j] for t in repeats)
-                 for j in range(len(first["calls_s"]))]
-        glue = min(t["wall_s"] - sum(t["calls_s"]) for t in repeats)
-        best.append(sum(calls) + glue)
+    for i in range(len(rounds[0]["trials"])):
+        repeats = [r["trials"][i]["calls_s"] for r in rounds]
+        stretches = sum(min(column) for calls in zip(*repeats)
+                        for column in zip(*calls))
+        glue = min(r["trials"][i]["wall_s"] - sum(map(sum, calls))
+                   for r, calls in zip(rounds, repeats))
+        best.append(stretches + glue)
     return best
 
 
-def mean_acc(rounds):
-    """(base, R) ACC means over the rounds' trials."""
-    return tuple(statistics.fmean(h["acc"] for h in halves_of(rounds, v))
+def mean_acc(rnd):
+    """(base, R) ACC means over a round's trials."""
+    return tuple(statistics.fmean(h["acc"] for t in rnd["trials"]
+                                  for h in t["halves"] if h["variant"] == v)
                  for v in ("base", "r"))
 
 
 def end_to_end_metrics(raw, attempted, failed):
-    groups = rounds_by_set(raw["rounds"])
-    firsts = [group[0] for group in groups]
-    acc_base, acc_r = mean_acc(firsts)
-    trial_seconds = [s for group in groups for s in best_trial_seconds(group)]
+    first = raw["rounds"][0]
+    acc_base, acc_r = mean_acc(first)
+    trial_seconds = best_trial_seconds(raw["rounds"])
     return {
         "trial_s": statistics.fmean(trial_seconds),
-        "epochs_per_s": (sum(t["train_steps"] for rnd in firsts
-                             for t in rnd["trials"]) / sum(trial_seconds)),
+        "epochs_per_s": (sum(t["train_steps"] for t in first["trials"]) /
+                         sum(trial_seconds)),
         "setup_s": statistics.median(raw["setup_s"]),
         # One round in a fresh process: later rounds add allocator history.
-        "peak_rss_mb": raw["rounds"][0].get("peak_rss_mb"),
+        "peak_rss_mb": first.get("peak_rss_mb"),
         "acc_r_over_base": acc_r / acc_base,
         "ok_frac": (attempted - failed) / attempted if attempted else None,
     }
@@ -321,7 +314,7 @@ def per_layer_metrics(raw):
     out["core.cluster_base_s"] = trial["cluster_base_s"]
     out["core.cluster_r_s"] = trial["cluster_r_s"]
     out["core.cluster_epochs_r"] = trial["halves"][-1]["cluster_epochs"]
-    out["eval.acc_base"], out["eval.acc_r"] = mean_acc([untraced])
+    out["eval.acc_base"], out["eval.acc_r"] = mean_acc(untraced)
     out["eval.layer_coverage"] = (
         sum(p["covered_s"] for p in raw["layers"]) /
         sum(t["wall_s"] for t in untraced["trials"]))

@@ -6,9 +6,9 @@
 Feeds run.py (through its `--raw` option, so nothing is built or run)
 bench-binary documents with a failed or timed-out half, a NaN score, a
 non-finite loss or embedding, an R half without Ω, a missing metric, a
-non-Release build, and scores that differ between repeats or from an
-earlier run of the same seed, and asserts the command rejects each; a clean
-document must pass.
+non-Release build, scores or epoch schedules that differ between repeats,
+and scores that differ from an earlier run of the same seed, and asserts the
+command rejects each; a clean document must pass.
 """
 
 import copy
@@ -36,9 +36,9 @@ def half(variant, acc):
 def clean_document():
     trial = {"dataset": "Pubmed", "wall_s": 17.0, "train_steps": 340,
              "pretrain_s": 5.0, "cluster_base_s": 7.0, "cluster_r_s": 5.0,
-             "calls_s": [5.0, 7.0, 4.9],
+             "calls_s": [[0.1, 2.4, 2.5], [3.0, 4.0], [2.4, 2.5]],
              "halves": [half("base", 0.56), half("r", 0.58)]}
-    rnd = {"instance_set": 0, "setup_s": 0.01, "wall_s": 17.0,
+    rnd = {"setup_s": 0.01, "wall_s": 17.0,
            "peak_rss_mb": 44.0, "trials": [trial]}
     return {"workload": "pubmed-dgae", "seed": 1, "build_type": "Release",
             "kernel_isa": "avx2", "rounds": [rnd, copy.deepcopy(rnd)],
@@ -126,6 +126,11 @@ class CheckerTest(unittest.TestCase):
     def test_repeat_with_other_scores_is_rejected(self):
         doc = clean_document()
         doc["rounds"][1]["trials"][0]["halves"][1]["acc"] = 0.57
+        self.assert_rejected(doc)
+
+    def test_repeat_with_other_schedule_is_rejected(self):
+        doc = clean_document()
+        doc["rounds"][1]["trials"][0]["calls_s"][2].append(0.05)
         self.assert_rejected(doc)
 
     def test_earlier_run_with_other_scores_is_rejected(self):
