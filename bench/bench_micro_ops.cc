@@ -228,6 +228,11 @@ void RunIsaSweep(rgae_bench::BenchObs* obs) {
   rgae::Parameter param(GaussianMatrix(256, 256, 1.0, rng));
   param.grad = GaussianMatrix(256, 256, 1.0, rng);
   rgae::Adam adam({&param}, {});
+  // The fused inner-product decoder at a Pubmed-like shape: forward and
+  // backward through the Tape against the self-looped adjacency.
+  const rgae::CsrMatrix self_adj = g.Adjacency().AddSelfLoops();
+  const rgae::ReconTarget recon = rgae::MakeReconTarget(&self_adj);
+  rgae::Parameter embed(GaussianMatrix(800, 16, 0.5, rng));
 
   struct Op {
     const char* name;
@@ -247,13 +252,21 @@ void RunIsaSweep(rgae_bench::BenchObs* obs) {
        [&] { benchmark::DoNotOptimize(StudentTAssignments(z, centers)); }},
       {"reduce_sum", 16, [&] { benchmark::DoNotOptimize(big.Sum()); }},
       {"adam_step", 16, [&] { adam.Step(); }},
+      {"inner_product_bce", 4,
+       [&] {
+         rgae::Tape tape;
+         const rgae::Var loss = tape.InnerProductBceLoss(
+             tape.Leaf(&embed), recon.graph, recon.pos_weight, recon.norm);
+         tape.Backward(loss);
+         embed.ZeroGrad();
+       }},
   };
 
   // us[op][isa name] -> mean microseconds.
   rgae::obs::JsonValue kernels_json = rgae::obs::JsonValue::MakeObject();
   std::printf("\nkernel ISA sweep (us/op; selected: %s)\n",
               rgae::kernels::IsaName(selected));
-  std::printf("  %-16s", "kernel");
+  std::printf("  %-18s", "kernel");
   for (rgae::kernels::Isa isa : isas) {
     std::printf(" %10s", rgae::kernels::IsaName(isa));
   }
@@ -262,7 +275,7 @@ void RunIsaSweep(rgae_bench::BenchObs* obs) {
     rgae::obs::JsonValue us = rgae::obs::JsonValue::MakeObject();
     rgae::obs::JsonValue speedup = rgae::obs::JsonValue::MakeObject();
     double scalar_us = 0.0, best_us = 0.0;
-    std::printf("  %-16s", op.name);
+    std::printf("  %-18s", op.name);
     for (rgae::kernels::Isa isa : isas) {
       rgae::kernels::SetIsaForTesting(isa);
       const double t = TimeOpUs(op.reps, op.run);

@@ -16,18 +16,21 @@ namespace kernels {
 ///  - Raw pointers + dimensions only; no Matrix/CsrMatrix dependency, so
 ///    the tensor layer can sit on top without an include cycle.
 ///  - Output buffers that are accumulated into (`MatMul`, `MatMulTransA`,
-///    `Spmm*`) must be zero-filled by the caller; kernels that overwrite
-///    every entry (`MatMulTransB`, softmax, top-two) need no zeroing.
+///    `Spmm*`, `InnerProductBceGrad`) must be zero-filled by the caller;
+///    kernels that overwrite every entry (`MatMulTransB`, softmax,
+///    top-two, `InnerProductBce`'s sigma) need no zeroing.
 ///  - Determinism contract: a given (op, ISA, shape) always performs
 ///    floating-point operations in one fixed order — repeated calls are
-///    bit-identical. Every op except the flat reductions and the BCE
-///    sweep is additionally bit-identical *across* ISAs because the
-///    vector variants preserve the scalar per-element operation order
-///    (they vectorize across independent output elements, never across a
-///    summation chain, and never use FMA). `Sum`/`SumSquares`/`Dot` are
-///    true horizontal reductions, so their vector variants use fixed
-///    lane-blocked accumulators instead: deterministic per ISA, within a
-///    small documented ULP bound of scalar (see tests/kernels_test.cc).
+///    bit-identical. Every op except the flat reductions is additionally
+///    bit-identical *across* ISAs: the vector variants preserve the scalar
+///    per-element operation order (they vectorize across independent
+///    output elements, never across a summation chain, and never use
+///    FMA), and the transcendental sweeps (`BceSweep`, the decoder loss)
+///    run the same scalar libm code in every tier. `Sum`/`SumSquares`/
+///    `Dot` are true horizontal reductions, so their vector variants use
+///    fixed lane-blocked accumulators instead: deterministic per ISA,
+///    within a small documented ULP bound of scalar (see
+///    tests/kernels_test.cc).
 ///  - `Sum`/`SumSquares`/`Dot`/`AdamStep` AVX-512 variants use aligned
 ///    loads from element 0: their buffers must start on a 64-byte
 ///    boundary, which rgae::Matrix storage guarantees (aligned.h).
@@ -93,10 +96,44 @@ using AdamStepFn = void (*)(double* value, const double* grad, double* m1,
                             double* m2, int64_t n, double beta1, double beta2,
                             double lr, double eps, double bc1, double bc2);
 
-/// The InnerProductBce base sweep: Σ softplus(s_i) over the dense logits.
-/// Transcendental-bound (log1p/exp), so the vector tiers alias scalar and
-/// the result is bit-identical across ISAs.
+/// Σ softplus(s_i) over dense logits: the base sweep of the unfused
+/// decoder loss, kept as the reference order the fused InnerProductBce
+/// is tested against. Transcendental-bound (log1p/exp), so the vector
+/// tiers alias scalar and the result is bit-identical across ISAs.
 using BceSweepFn = double (*)(const double* s, int64_t n);
+
+/// The fused inner-product decoder loss, forward half. For embeddings
+/// z(n,d) and a CSR target (columns ascending within each row, the
+/// CsrMatrix invariant; entries with value 0.0 are structural zeros),
+/// returns the un-normalized weighted BCE between sigmoid(Z Zᵀ) and the
+/// target: Σ_ij softplus(s_ij) plus, per positive, pos_weight·(softplus(s)
+/// - s) - softplus(s). S is built over the upper-triangle tiles only, with
+/// MatMulTransB's per-entry chain, so s_ij == s_ji bit for bit; one
+/// exp(-|s|) per unordered pair feeds both the softplus and σ(s), and σ
+/// for j >= i is written to `sigma`, packed row-major upper triangle of
+/// n(n+1)/2 doubles (row i starts at i·n - i(i-1)/2). The sum is formed as
+/// diag + 2·upper over per-tile partials in a fixed tile order, then the
+/// positives in CSR order: bit-identical across ISAs.
+using InnerProductBceFn = double (*)(const double* z, int n, int d,
+                                     const int* row_ptr, const int* col_idx,
+                                     const double* values, double pos_weight,
+                                     double* sigma);
+
+/// The decoder's backward half, from the forward's `sigma` and no
+/// transcendentals: with C_ij = gs·σ_ij for negatives and
+/// gs·pos_weight·(σ_ij - 1) at positives, cz(n,d) += C·Z and
+/// ctz(n,d) += Cᵀ·Z, both zero-filled by the caller (with symmetric
+/// positives ctz is a copy of cz). Each output row meets its coefficients
+/// in ascending column order with the c == 0.0 skip, so cz and ctz carry
+/// the bits of MatMul(C, Z) and MatMulTransA(C, Z) on a dense C, on every
+/// ISA; dL/dZ = cz + ctz.
+using InnerProductBceGradFn = void (*)(const double* z, int n, int d,
+                                       const int* row_ptr,
+                                       const int* col_idx,
+                                       const double* values,
+                                       double pos_weight, double gs,
+                                       const double* sigma, double* cz,
+                                       double* ctz);
 
 /// Operator Ξ's per-row top-two scan over p(n,k): lambda1/lambda2 (each
 /// length n) receive the largest and second-largest entry of every row.
@@ -134,6 +171,13 @@ void AdamStep(double* value, const double* grad, double* m1, double* m2,
               int64_t n, double beta1, double beta2, double lr, double eps,
               double bc1, double bc2);
 double BceSweep(const double* s, int64_t n);
+double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
+                       const int* col_idx, const double* values,
+                       double pos_weight, double* sigma);
+void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
+                         const int* col_idx, const double* values,
+                         double pos_weight, double gs, const double* sigma,
+                         double* cz, double* ctz);
 void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2);
 
 // ---------------------------------------------------------------------------
@@ -175,15 +219,32 @@ void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2);
               double* lambda2);                                               \
   }  // namespace ns
 
+// The fused decoder has scalar and AVX2 bodies only; its AVX-512 stub
+// slot stays null and falls through to AVX2.
+#define RGAE_DECLARE_DECODER_TIER(ns)                                         \
+  namespace ns {                                                              \
+  double InnerProductBce(const double* z, int n, int d, const int* row_ptr,   \
+                         const int* col_idx, const double* values,            \
+                         double pos_weight, double* sigma);                   \
+  void InnerProductBceGrad(const double* z, int n, int d,                     \
+                           const int* row_ptr, const int* col_idx,            \
+                           const double* values, double pos_weight,           \
+                           double gs, const double* sigma, double* cz,        \
+                           double* ctz);                                      \
+  }  // namespace ns
+
 RGAE_DECLARE_KERNEL_TIER(scalar)
+RGAE_DECLARE_DECODER_TIER(scalar)
 #if defined(RGAE_KERNELS_HAVE_AVX2)
 RGAE_DECLARE_KERNEL_TIER(avx2)
+RGAE_DECLARE_DECODER_TIER(avx2)
 #endif
 #if defined(RGAE_KERNELS_HAVE_AVX512)
 RGAE_DECLARE_KERNEL_TIER(avx512)
 #endif
 
 #undef RGAE_DECLARE_KERNEL_TIER
+#undef RGAE_DECLARE_DECODER_TIER
 
 }  // namespace kernels
 }  // namespace rgae

@@ -73,6 +73,12 @@ int Tape::Push(Node n) {
     if (op < kNumOps) OpCounter(op)->Inc();
     obs::CountTapeNode(n.value.size());
   }
+  // Leaves need a gradient and constants never do; every other op needs
+  // one as soon as any of its inputs does.
+  n.requires_grad =
+      n.op == Op::kLeaf ||
+      (n.op != Op::kConstant && (RequiresGrad(n.a) || RequiresGrad(n.b) ||
+                                 RequiresGrad(n.c) || RequiresGrad(n.d)));
   nodes_.push_back(std::move(n));
   return static_cast<int>(nodes_.size()) - 1;
 }
@@ -256,6 +262,7 @@ Var Tape::InnerProductBceLoss(Var z, const CsrMatrix* target,
   }
   const Matrix& zv = node(z).value;
   const int nrows = zv.rows();
+  const int d = zv.cols();
   InferInnerProductBce(ShapeOf(zv), {target->rows(), target->cols()});
   Node n;
   n.op = Op::kInnerProductBce;
@@ -263,25 +270,21 @@ Var Tape::InnerProductBceLoss(Var z, const CsrMatrix* target,
   n.sparse = target;
   n.w1 = pos_weight;
   n.w2 = norm;
-  // S = Z Zᵀ; cached for the backward pass.
-  n.aux = MatMulTransB(zv, zv);
-  // Cost model for the softplus sweep + positive fixup below (the matmul
-  // above accounts for itself): ~5 flops and 8 bytes per dense n² entry.
-  RGAE_KERNEL_WORK("loss.inner_product_bce",
-                   5LL * nrows * nrows, 8LL * nrows * nrows);
-  // Base: every entry as a negative (target 0). Then fix up the stored
-  // positives. bce(s,0) = softplus(s), bce(s,1) = softplus(s) - s.
-  double loss = kernels::BceSweep(n.aux.data(),
-                                  static_cast<int64_t>(n.aux.size()));
-  const auto& rp = target->row_ptr();
-  const auto& ci = target->col_idx();
-  const auto& tv = target->values();
-  for (int i = 0; i < nrows; ++i) {
-    for (int k = rp[i]; k < rp[i + 1]; ++k) {
-      if (tv[k] == 0.0) continue;  // Structural zero: stays a negative.
-      const double s = n.aux(i, ci[k]);
-      loss += pos_weight * (Softplus(s) - s) - Softplus(s);
-    }
+  // σ(s_ij) for j >= i, packed upper triangle: the backward pass's only
+  // cache. Neither S nor any other N×N buffer is materialized.
+  const int64_t pairs = static_cast<int64_t>(nrows) * (nrows + 1) / 2;
+  n.aux = Matrix(1, static_cast<int>(pairs));
+  double loss = 0.0;
+  {
+    RGAE_TIMED_KERNEL("kernel.inner_product_bce");
+    // Per unordered pair: a d-long dot (2d flops) and the shared-exp
+    // softplus/σ sweep (5 flops). Reads Z, writes σ.
+    RGAE_KERNEL_WORK("kernel.inner_product_bce", pairs * (2LL * d + 5),
+                     8LL * (static_cast<int64_t>(nrows) * d + pairs));
+    loss = kernels::InnerProductBce(
+        zv.data(), nrows, d, target->row_ptr().data(),
+        target->col_idx().data(), target->values().data(), pos_weight,
+        n.aux.data());
   }
   const double denom = static_cast<double>(nrows) * nrows;
   n.value = Scalar(norm * loss / denom);
@@ -559,6 +562,12 @@ void Tape::EnsureGrad(int id) {
   }
 }
 
+Matrix* Tape::InputGrad(int id) {
+  if (!nodes_[id].requires_grad) return nullptr;
+  EnsureGrad(id);
+  return &nodes_[id].grad;
+}
+
 std::vector<TapeNodeView> Tape::NodeViews() const {
   std::vector<TapeNodeView> views;
   views.reserve(nodes_.size());
@@ -569,7 +578,7 @@ std::vector<TapeNodeView> Tape::NodeViews() const {
     v.op = kOpMetricNames[static_cast<size_t>(n.op)];
     v.inputs = {n.a, n.b, n.c, n.d};
     for (size_t s = 0; s < v.inputs.size(); ++s) {
-      v.grad_flow[s] = v.inputs[s] >= 0;
+      v.grad_flow[s] = RequiresGrad(v.inputs[s]);
     }
     if (n.op == Op::kGmmKl) {
       // Mixture operands are EM-owned: Backward only reaches z (input 0).
@@ -607,6 +616,8 @@ void Tape::Backward(Var loss) {
 void Tape::BackwardNode(int id) {
   Node& n = nodes_[id];
   const Matrix& g = n.grad;
+  // InputGrad is null for inputs that need no gradient: their work is
+  // skipped, which leaves every other input's gradient bits unchanged.
   switch (n.op) {
     case Op::kLeaf:
       n.param->grad += g;
@@ -614,158 +625,157 @@ void Tape::BackwardNode(int id) {
     case Op::kConstant:
       break;
     case Op::kMatMul: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
-      nodes_[n.a].grad += MatMulTransB(g, nodes_[n.b].value);
-      nodes_[n.b].grad += MatMulTransA(nodes_[n.a].value, g);
+      if (Matrix* ga = InputGrad(n.a)) {
+        *ga += MatMulTransB(g, nodes_[n.b].value);
+      }
+      if (Matrix* gb = InputGrad(n.b)) {
+        *gb += MatMulTransA(nodes_[n.a].value, g);
+      }
       break;
     }
     case Op::kSpmm: {
-      EnsureGrad(n.a);
-      nodes_[n.a].grad += n.sparse->MultiplyTransposed(g);
+      if (Matrix* ga = InputGrad(n.a)) {
+        *ga += n.sparse->MultiplyTransposed(g);
+      }
       break;
     }
     case Op::kAdd: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
-      nodes_[n.a].grad += g;
-      nodes_[n.b].grad += g;
+      if (Matrix* ga = InputGrad(n.a)) *ga += g;
+      if (Matrix* gb = InputGrad(n.b)) *gb += g;
       break;
     }
     case Op::kSub: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
-      nodes_[n.a].grad += g;
-      nodes_[n.b].grad -= g;
+      if (Matrix* ga = InputGrad(n.a)) *ga += g;
+      if (Matrix* gb = InputGrad(n.b)) *gb -= g;
       break;
     }
     case Op::kHadamard: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
-      nodes_[n.a].grad += rgae::Hadamard(g, nodes_[n.b].value);
-      nodes_[n.b].grad += rgae::Hadamard(g, nodes_[n.a].value);
+      if (Matrix* ga = InputGrad(n.a)) {
+        *ga += rgae::Hadamard(g, nodes_[n.b].value);
+      }
+      if (Matrix* gb = InputGrad(n.b)) {
+        *gb += rgae::Hadamard(g, nodes_[n.a].value);
+      }
       break;
     }
     case Op::kScale: {
-      EnsureGrad(n.a);
-      nodes_[n.a].grad += rgae::Scale(g, n.scalar);
+      if (Matrix* ga = InputGrad(n.a)) *ga += rgae::Scale(g, n.scalar);
       break;
     }
     case Op::kRelu: {
-      EnsureGrad(n.a);
-      Matrix& ga = nodes_[n.a].grad;
+      Matrix* ga = InputGrad(n.a);
+      if (ga == nullptr) break;
       for (int r = 0; r < g.rows(); ++r) {
         for (int c = 0; c < g.cols(); ++c) {
-          if (n.value(r, c) > 0.0) ga(r, c) += g(r, c);
+          if (n.value(r, c) > 0.0) (*ga)(r, c) += g(r, c);
         }
       }
       break;
     }
     case Op::kExp: {
-      EnsureGrad(n.a);
-      nodes_[n.a].grad += rgae::Hadamard(g, n.value);
+      if (Matrix* ga = InputGrad(n.a)) *ga += rgae::Hadamard(g, n.value);
       break;
     }
     case Op::kTanh: {
-      EnsureGrad(n.a);
-      Matrix& ga = nodes_[n.a].grad;
+      Matrix* ga = InputGrad(n.a);
+      if (ga == nullptr) break;
       for (int r = 0; r < g.rows(); ++r) {
         for (int c = 0; c < g.cols(); ++c) {
           const double t = n.value(r, c);
-          ga(r, c) += g(r, c) * (1.0 - t * t);
+          (*ga)(r, c) += g(r, c) * (1.0 - t * t);
         }
       }
       break;
     }
     case Op::kAddRowBroadcast: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
-      nodes_[n.a].grad += g;
-      Matrix& gb = nodes_[n.b].grad;
-      for (int r = 0; r < g.rows(); ++r) {
-        for (int c = 0; c < g.cols(); ++c) gb(0, c) += g(r, c);
+      if (Matrix* ga = InputGrad(n.a)) *ga += g;
+      if (Matrix* gb = InputGrad(n.b)) {
+        for (int r = 0; r < g.rows(); ++r) {
+          for (int c = 0; c < g.cols(); ++c) (*gb)(0, c) += g(r, c);
+        }
       }
       break;
     }
     case Op::kGatherRows: {
-      EnsureGrad(n.a);
-      Matrix& ga = nodes_[n.a].grad;
+      Matrix* ga = InputGrad(n.a);
+      if (ga == nullptr) break;
       for (size_t r = 0; r < n.indices.size(); ++r) {
         const int src = n.indices[r];
         for (int c = 0; c < g.cols(); ++c) {
-          ga(src, c) += g(static_cast<int>(r), c);
+          (*ga)(src, c) += g(static_cast<int>(r), c);
         }
       }
       break;
     }
     case Op::kInnerProductBce: {
-      EnsureGrad(n.a);
+      Matrix* gz = InputGrad(n.a);
+      if (gz == nullptr) break;
       const Matrix& z = nodes_[n.a].value;
       const int nrows = z.rows();
+      const int d = z.cols();
       const double gs = g(0, 0) * n.w2 /
                         (static_cast<double>(nrows) * nrows);
-      // C_ij = dL/ds_ij: sigmoid(s) for negatives,
-      // pos_weight*(sigmoid(s)-1) for positives.
-      Matrix c_mat(nrows, nrows);
-      for (int i = 0; i < nrows; ++i) {
-        const double* srow = n.aux.row(i);
-        double* crow = c_mat.row(i);
-        for (int j = 0; j < nrows; ++j) crow[j] = gs * Sigmoid(srow[j]);
+      // dL/dZ = (C + Cᵀ) Z with C_ij = dL/ds_ij: gs·σ(s) for negatives,
+      // gs·pos_weight·(σ(s) - 1) for positives. The kernel returns C·Z and
+      // Cᵀ·Z apart, so their sum rounds exactly as the unfused
+      // MatMul(C, Z) + MatMulTransA(C, Z) did.
+      Matrix cz(nrows, d);
+      Matrix ctz(nrows, d);
+      {
+        RGAE_TIMED_KERNEL("kernel.inner_product_bce_grad");
+        // One multiply per C entry and two N×N×d products (2 flops per
+        // term). Reads σ and Z, writes C·Z and Cᵀ·Z.
+        const int64_t pairs = static_cast<int64_t>(nrows) * (nrows + 1) / 2;
+        RGAE_KERNEL_WORK("kernel.inner_product_bce_grad",
+                         static_cast<int64_t>(nrows) * nrows * (4LL * d + 1),
+                         8LL * (pairs + 3LL * nrows * d));
+        kernels::InnerProductBceGrad(
+            z.data(), nrows, d, n.sparse->row_ptr().data(),
+            n.sparse->col_idx().data(), n.sparse->values().data(), n.w1, gs,
+            n.aux.data(), cz.data(), ctz.data());
       }
-      const auto& rp = n.sparse->row_ptr();
-      const auto& ci = n.sparse->col_idx();
-      const auto& tv = n.sparse->values();
-      for (int i = 0; i < nrows; ++i) {
-        for (int k = rp[i]; k < rp[i + 1]; ++k) {
-          if (tv[k] == 0.0) continue;
-          const int j = ci[k];
-          c_mat(i, j) = gs * n.w1 * (Sigmoid(n.aux(i, j)) - 1.0);
-        }
-      }
-      // dL/dZ = (C + Cᵀ) Z.
-      Matrix gz = rgae::MatMul(c_mat, z);
-      gz += MatMulTransA(c_mat, z);
-      nodes_[n.a].grad += gz;
+      cz += ctz;
+      *gz += cz;
       break;
     }
     case Op::kGaussianKl: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
       const Matrix& mu = nodes_[n.a].value;
       const Matrix& lv = nodes_[n.b].value;
       const double gs =
           g(0, 0) / (static_cast<double>(mu.rows()) * mu.rows());
-      Matrix& gmu = nodes_[n.a].grad;
-      Matrix& glv = nodes_[n.b].grad;
-      for (int r = 0; r < mu.rows(); ++r) {
-        for (int c = 0; c < mu.cols(); ++c) {
-          gmu(r, c) += gs * mu(r, c);
-          glv(r, c) += gs * 0.5 * (std::exp(lv(r, c)) - 1.0);
+      if (Matrix* gmu = InputGrad(n.a)) {
+        for (int r = 0; r < mu.rows(); ++r) {
+          for (int c = 0; c < mu.cols(); ++c) (*gmu)(r, c) += gs * mu(r, c);
+        }
+      }
+      if (Matrix* glv = InputGrad(n.b)) {
+        for (int r = 0; r < mu.rows(); ++r) {
+          for (int c = 0; c < mu.cols(); ++c) {
+            (*glv)(r, c) += gs * 0.5 * (std::exp(lv(r, c)) - 1.0);
+          }
         }
       }
       break;
     }
     case Op::kKMeans: {
-      EnsureGrad(n.a);
+      Matrix* gz = InputGrad(n.a);
+      if (gz == nullptr) break;
       const Matrix& z = nodes_[n.a].value;
       const double gs =
           g(0, 0) * 2.0 / static_cast<double>(n.indices.size());
-      Matrix& gz = nodes_[n.a].grad;
       for (int i : n.indices) {
         const int a = (*n.ext_idx)[i];
         for (int c = 0; c < z.cols(); ++c) {
-          gz(i, c) += gs * (z(i, c) - (*n.ext)(a, c));
+          (*gz)(i, c) += gs * (z(i, c) - (*n.ext)(a, c));
         }
       }
       break;
     }
     case Op::kDecKl: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
+      Matrix* gz = InputGrad(n.a);
+      Matrix* gc = InputGrad(n.b);
       const Matrix& z = nodes_[n.a].value;
       const Matrix& cv = nodes_[n.b].value;
-      Matrix& gz = nodes_[n.a].grad;
-      Matrix& gc = nodes_[n.b].grad;
       const int k = cv.rows();
       const double gs = g(0, 0) / static_cast<double>(n.indices.size());
       for (size_t r = 0; r < n.indices.size(); ++r) {
@@ -779,26 +789,22 @@ void Tape::BackwardNode(int id) {
           const double coeff = gs * u * (q - p) * 2.0;
           for (int c = 0; c < z.cols(); ++c) {
             const double diff = z(i, c) - cv(j, c);
-            gz(i, c) += coeff * diff;
-            gc(j, c) -= coeff * diff;
+            if (gz != nullptr) (*gz)(i, c) += coeff * diff;
+            if (gc != nullptr) (*gc)(j, c) -= coeff * diff;
           }
         }
       }
       break;
     }
     case Op::kGmmNll: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
-      EnsureGrad(n.c);
-      EnsureGrad(n.d);
+      Matrix* gz = InputGrad(n.a);
+      Matrix* gmu = InputGrad(n.b);
+      Matrix* glv = InputGrad(n.c);
+      Matrix* glg = InputGrad(n.d);
       const Matrix& z = nodes_[n.a].value;
       const Matrix& mu = nodes_[n.b].value;
       const Matrix& lv = nodes_[n.c].value;
       const Matrix& lg = nodes_[n.d].value;
-      Matrix& gz = nodes_[n.a].grad;
-      Matrix& gmu = nodes_[n.b].grad;
-      Matrix& glv = nodes_[n.c].grad;
-      Matrix& glg = nodes_[n.d].grad;
       const int k = mu.rows();
       const int d = z.cols();
       const double gs = g(0, 0) / static_cast<double>(n.indices.size());
@@ -816,24 +822,26 @@ void Tape::BackwardNode(int id) {
         const int i = n.indices[r];
         for (int j = 0; j < k; ++j) {
           const double resp = n.aux(static_cast<int>(r), j);
-          glg(0, j) += gs * (pi[j] - resp);
+          if (glg != nullptr) (*glg)(0, j) += gs * (pi[j] - resp);
           for (int c = 0; c < d; ++c) {
             const double inv_var = std::exp(-lv(j, c));
             const double diff = z(i, c) - mu(j, c);
-            gz(i, c) += gs * resp * diff * inv_var;
-            gmu(j, c) -= gs * resp * diff * inv_var;
-            glv(j, c) += gs * resp * 0.5 * (1.0 - diff * diff * inv_var);
+            if (gz != nullptr) (*gz)(i, c) += gs * resp * diff * inv_var;
+            if (gmu != nullptr) (*gmu)(j, c) -= gs * resp * diff * inv_var;
+            if (glv != nullptr) {
+              (*glv)(j, c) += gs * resp * 0.5 * (1.0 - diff * diff * inv_var);
+            }
           }
         }
       }
       break;
     }
     case Op::kGmmKl: {
-      EnsureGrad(n.a);
+      Matrix* gz = InputGrad(n.a);
+      if (gz == nullptr) break;
       const Matrix& z = nodes_[n.a].value;
       const Matrix& mu = nodes_[n.b].value;
       const Matrix& lv = nodes_[n.c].value;
-      Matrix& gz = nodes_[n.a].grad;
       const int k = mu.rows();
       const double gs = g(0, 0) / static_cast<double>(n.indices.size());
       // d KL / d logit_ik = (r_ik - q_ik); d logit_ik / d z_ic =
@@ -844,29 +852,27 @@ void Tape::BackwardNode(int id) {
           const double coeff =
               gs * (n.aux(static_cast<int>(r), j) - (*n.ext)(i, j));
           for (int c = 0; c < z.cols(); ++c) {
-            gz(i, c) -= coeff * (z(i, c) - mu(j, c)) * std::exp(-lv(j, c));
+            (*gz)(i, c) -= coeff * (z(i, c) - mu(j, c)) * std::exp(-lv(j, c));
           }
         }
       }
       break;
     }
     case Op::kBceWithLogits: {
-      EnsureGrad(n.a);
+      Matrix* gl = InputGrad(n.a);
+      if (gl == nullptr) break;
       const Matrix& l = nodes_[n.a].value;
-      Matrix& gl = nodes_[n.a].grad;
       const double gs = g(0, 0) / static_cast<double>(l.size());
       for (int r = 0; r < l.rows(); ++r) {
         for (int c = 0; c < l.cols(); ++c) {
-          gl(r, c) += gs * (Sigmoid(l(r, c)) - (*n.ext)(r, c));
+          (*gl)(r, c) += gs * (Sigmoid(l(r, c)) - (*n.ext)(r, c));
         }
       }
       break;
     }
     case Op::kAddScalars: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
-      nodes_[n.a].grad(0, 0) += g(0, 0);
-      nodes_[n.b].grad(0, 0) += g(0, 0);
+      if (Matrix* ga = InputGrad(n.a)) (*ga)(0, 0) += g(0, 0);
+      if (Matrix* gb = InputGrad(n.b)) (*gb)(0, 0) += g(0, 0);
       break;
     }
   }

@@ -44,7 +44,9 @@ struct Var {
 /// Introspection view of one recorded tape node, consumed by the tape linter
 /// (`src/analysis/tape_lint.h`). `inputs` holds node ids (-1 = unused slot);
 /// `grad_flow[i]` says whether `Backward` propagates a gradient into
-/// `inputs[i]` (false for the EM-owned mixture operands of `GmmKlLoss`).
+/// `inputs[i]` (false for inputs that need none — constants and nodes
+/// computed only from constants — and for the EM-owned mixture operands of
+/// `GmmKlLoss`).
 struct TapeNodeView {
   int id = -1;
   const char* op = "";
@@ -62,12 +64,24 @@ struct TapeNodeView {
 /// `Parameter`s. Tapes are cheap to construct; models build a fresh tape per
 /// training step.
 ///
+/// Each node records at `Push` whether it requires a gradient: `Leaf` does,
+/// `Constant` does not, and every other op does when any input does.
+/// `Backward` computes no gradient for an input without the bit (the
+/// encoder's dX = G·W₀ᵀ into the constant feature matrix, for one), and
+/// `NodeViews` reports such inputs with `grad_flow = false`.
+///
 /// Beyond elementwise/matmul primitives, the tape provides *fused* scalar
 /// losses used by the GAE model zoo. Fusing keeps the O(N²) decoder math in
-/// one place and avoids materializing the dense `sigmoid(ZZᵀ)` twice:
+/// one place:
 ///
 ///  * `InnerProductBceLoss` — the GAE/VGAE reconstruction loss
 ///    `L_bce(sigmoid(Z Zᵀ), A_self)` with Kipf-style positive re-weighting.
+///    One tiled kernel (`kernels::InnerProductBce`/`InnerProductBceGrad`)
+///    builds only the upper triangle of S = Z Zᵀ, takes one exp per node
+///    pair and caches σ(S) as a packed triangle: no N×N buffer exists in
+///    forward or backward. Gradients are bit-identical to the unfused
+///    dense composition on every ISA; the loss value is summed in a fixed
+///    tiled order (DESIGN.md §9).
 ///  * `GaussianKlLoss`       — the VGAE prior KL term.
 ///  * `KMeansLoss`           — embedded k-means `L_C(Z, A_clus)` with fixed
 ///                             centers/assignments (Proposition 2 form).
@@ -223,6 +237,7 @@ class Tape {
   struct Node {
     Op op;
     int a = -1, b = -1, c = -1, d = -1;
+    bool requires_grad = false;  // Set by Push; see the class comment.
     Matrix value;
     Matrix grad;
     Parameter* param = nullptr;
@@ -242,7 +257,13 @@ class Tape {
   void CheckVar(const char* op, Var v) const;
   Node& node(Var v) { return nodes_[v.id]; }
   const Node& node(Var v) const { return nodes_[v.id]; }
+  bool RequiresGrad(int id) const {
+    return id >= 0 && nodes_[id].requires_grad;
+  }
   void EnsureGrad(int id);
+  /// Gradient buffer of input `id` (created on first use), or null when
+  /// the input requires no gradient and Backward should skip it.
+  Matrix* InputGrad(int id);
   void BackwardNode(int id);
 
   std::vector<Node> nodes_;

@@ -107,6 +107,44 @@ TEST(TapeTest, MatMulGradientViaBce) {
   CheckGradient(&b, forward);
 }
 
+TEST(TapeTest, ConstantOperandGetsNoGradientBuffer) {
+  // The encoder's first layer: Constant(X) · Leaf(W). Backward must skip
+  // dX (no buffer, grad_flow false) and leave dW bit-identical to the
+  // gradient it gets when X is a trainable leaf instead.
+  Rng rng(21);
+  const Matrix x = RandomMatrix(5, 4, rng);
+  Parameter w(RandomMatrix(4, 3, rng));
+  const Matrix target(5, 3, 1.0);
+
+  Tape tape;
+  const Var xc = tape.Constant(x);
+  const Var shift = tape.Add(xc, tape.Constant(Matrix(5, 4, 0.25)));
+  const Var prod = tape.MatMul(shift, tape.Leaf(&w));
+  const Var loss = ScalarizeBce(&tape, prod, &target);
+  w.ZeroGrad();
+  tape.Backward(loss);
+  EXPECT_TRUE(tape.grad(xc).empty());
+  EXPECT_TRUE(tape.grad(shift).empty());  // Computed from constants only.
+  EXPECT_FALSE(tape.grad(prod).empty());
+  const std::vector<TapeNodeView> views = tape.NodeViews();
+  EXPECT_FALSE(views[shift.id].grad_flow[0]);
+  EXPECT_FALSE(views[shift.id].grad_flow[1]);
+  EXPECT_FALSE(views[prod.id].grad_flow[0]);
+  EXPECT_TRUE(views[prod.id].grad_flow[1]);
+
+  Parameter x_leaf(x);
+  Parameter w_ref(w.value);
+  Tape ref;
+  const Var ref_prod = ref.MatMul(
+      ref.Add(ref.Leaf(&x_leaf), ref.Constant(Matrix(5, 4, 0.25))),
+      ref.Leaf(&w_ref));
+  ref.Backward(ScalarizeBce(&ref, ref_prod, &target));
+  for (int r = 0; r < 4; ++r) {
+    for (int c = 0; c < 3; ++c) EXPECT_EQ(w.grad(r, c), w_ref.grad(r, c));
+  }
+  EXPECT_NE(x_leaf.grad(0, 0), 0.0);
+}
+
 TEST(TapeTest, ElementwiseOpsGradient) {
   Rng rng(3);
   Parameter a(RandomMatrix(2, 3, rng));

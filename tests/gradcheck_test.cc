@@ -46,6 +46,32 @@ TEST(GradCheckTest, InnerProductBceLoss) {
   ExpectPasses(r);
 }
 
+TEST(GradCheckTest, InnerProductBceLossMultiTileAsymmetric) {
+  // N = 150 spans three decoder tiles (64 + 64 + 22), so every kind of
+  // tile pair is differentiated. The target is directed: (i, i+1) and
+  // (i, i+7) are positives whose mirrors are not (C_ij != C_ji there), plus
+  // self-loops on every fifth node and a structural zero.
+  const int n = 150;
+  Parameter z(Pattern(n, 4, 0.004, 0.01));
+  std::vector<Triplet> t;
+  for (int i = 0; i < n; ++i) {
+    t.push_back({i, (i + 1) % n, 1.0});
+    t.push_back({i, (i + 7) % n, 1.0});
+    if (i % 5 == 0) t.push_back({i, i, 1.0});
+  }
+  t.push_back({3, 90, 0.0});
+  const CsrMatrix target = CsrMatrix::FromTriplets(n, n, std::move(t));
+  GradCheckOptions options;
+  options.max_entries_per_param = 64;
+  const GradCheckResult r = GradCheck(
+      [&](Tape* tape) {
+        return tape->InnerProductBceLoss(tape->Leaf(&z), &target,
+                                         /*pos_weight=*/40.0, /*norm=*/0.9);
+      },
+      {&z}, options);
+  ExpectPasses(r);
+}
+
 TEST(GradCheckTest, GaussianKlLoss) {
   Parameter mu(Pattern(4, 3));
   Parameter logvar(Pattern(4, 3, 0.2, 0.1));

@@ -6,8 +6,10 @@
 // ISA this machine supports. Two tolerance classes:
 //
 //  - Order-preserving ops (matmul family, SpMM family, soft assignments,
-//    Adam, BCE sweep, top-two): bit-identical to scalar — compared with
-//    EXPECT_EQ, tolerance 0.
+//    Adam, BCE sweep, top-two, the fused decoder's gradient and loss):
+//    bit-identical to scalar — compared with EXPECT_EQ, tolerance 0. The
+//    fused decoder is also checked against the unfused composition it
+//    replaced: gradient bit-identical, loss within 1e-13 relative.
 //  - Flat reductions (Sum, SumSquares, Dot): vector tiers use fixed
 //    lane-blocked accumulators, so the association differs from scalar.
 //    The drift is bounded by ~n·ulp on the running sum; for the corpus
@@ -19,6 +21,7 @@
 
 #include "src/kernels/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "src/graph/csr.h"
 #include "src/kernels/aligned.h"
 #include "src/kernels/dispatch.h"
+#include "src/tensor/autograd.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/random.h"
 
@@ -454,6 +458,217 @@ TEST(KernelEquivalenceTest, TopTwoExactAcrossIsas) {
         ExpectBitEqual(l1, l1w, "TopTwo(lambda1)", isa);
         ExpectBitEqual(l2, l2w, "TopTwo(lambda2)", isa);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused inner-product decoder (InnerProductBce / InnerProductBceGrad).
+// ---------------------------------------------------------------------------
+
+/// The unfused decoder's σ, verbatim: the fused kernel must reproduce its
+/// bits from the shared e = exp(-|s|).
+double UnfusedSigmoid(double x) {
+  if (x >= 0.0) {
+    const double e = std::exp(-x);
+    return 1.0 / (1.0 + e);
+  }
+  const double e = std::exp(x);
+  return e / (1.0 + e);
+}
+
+double UnfusedSoftplus(double x) {
+  return std::log1p(std::exp(-std::abs(x))) + std::max(x, 0.0);
+}
+
+/// The pre-fusion composition, rebuilt from the scalar tier: dense S by
+/// MatMulTransB, the BceSweep base plus the CSR-order positive fixup, then
+/// C = gs·σ(S) patched at the positives and C·Z / Cᵀ·Z by MatMul /
+/// MatMulTransA.
+struct UnfusedDecoder {
+  double loss = 0.0;
+  AlignedVector cz, ctz;
+};
+
+UnfusedDecoder RunUnfusedDecoder(const AlignedVector& z, int n, int d,
+                                 const CsrMatrix& t, double pos_weight,
+                                 double gs) {
+  const size_t nn = static_cast<size_t>(n) * n;
+  AlignedVector s(nn);
+  kernels::scalar::MatMulTransB(z.data(), z.data(), s.data(), n, d, n);
+  UnfusedDecoder out;
+  out.loss = kernels::scalar::BceSweep(s.data(), static_cast<int64_t>(nn));
+  AlignedVector c(nn);
+  for (size_t e = 0; e < nn; ++e) c[e] = gs * UnfusedSigmoid(s[e]);
+  for (int i = 0; i < n; ++i) {
+    for (int k = t.row_ptr()[i]; k < t.row_ptr()[i + 1]; ++k) {
+      if (t.values()[k] == 0.0) continue;
+      const size_t e = static_cast<size_t>(i) * n + t.col_idx()[k];
+      out.loss += pos_weight * (UnfusedSoftplus(s[e]) - s[e]) -
+                  UnfusedSoftplus(s[e]);
+      c[e] = gs * pos_weight * (UnfusedSigmoid(s[e]) - 1.0);
+    }
+  }
+  out.cz.assign(static_cast<size_t>(n) * d, 0.0);
+  out.ctz.assign(static_cast<size_t>(n) * d, 0.0);
+  kernels::scalar::MatMul(c.data(), z.data(), out.cz.data(), n, n, d);
+  kernels::scalar::MatMulTransA(c.data(), z.data(), out.ctz.data(), n, n, d);
+  return out;
+}
+
+/// Embeddings with a few "loud" rows (entries ±30, alternating sign per
+/// row) whose pairwise logits pass |s| > 745: exp(-|s|) underflows to 0,
+/// σ saturates at exactly 0 or 1, and the c == 0.0 skip fires.
+AlignedVector DecoderEmbeddings(int n, int d, Rng& rng) {
+  AlignedVector z = RandomBuffer(static_cast<size_t>(n) * d, rng);
+  for (double& v : z) v *= 0.6;
+  for (int i = 5, sign = 1; i < n; i += 17, sign = -sign) {
+    for (int c = 0; c < d; ++c) z[static_cast<size_t>(i) * d + c] = 30.0 * sign;
+  }
+  return z;
+}
+
+enum class TargetKind { kSymmetric, kAsymmetric, kEmpty };
+
+/// Decoder targets. Symmetric: undirected edges plus self-loops, with
+/// mirrored structural zeros (tv == 0), so the positives stay symmetric.
+/// Asymmetric: directed edges, ~20% empty rows, one-sided structural
+/// zeros and some diagonal positives. Empty: no stored entry at all.
+CsrMatrix DecoderTarget(int n, TargetKind kind, Rng& rng) {
+  std::vector<Triplet> t;
+  if (kind == TargetKind::kSymmetric) {
+    for (int i = 0; i < n; ++i) {
+      t.push_back({i, i, 1.0});
+      for (int e = 0; e < 3; ++e) {
+        const int j = rng.UniformInt(n);
+        const double v = rng.Bernoulli(0.1) ? 0.0 : 1.0;
+        if (j == i) continue;
+        t.push_back({i, j, v});
+        t.push_back({j, i, v});
+      }
+    }
+  } else if (kind == TargetKind::kAsymmetric) {
+    for (int i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.2)) continue;  // Empty row.
+      if (rng.Bernoulli(0.3)) t.push_back({i, i, 1.0});
+      for (int e = 0; e < 4; ++e) {
+        t.push_back({i, rng.UniformInt(n), rng.Bernoulli(0.1) ? 0.0 : 1.0});
+      }
+    }
+  }
+  CsrMatrix m = CsrMatrix::FromTriplets(n, n, std::move(t));
+  // Duplicates were summed; keep every stored value 0/1 (0 = structural).
+  for (double& v : m.mutable_values()) v = v == 0.0 ? 0.0 : 1.0;
+  return m;
+}
+
+const char* TargetName(TargetKind kind) {
+  switch (kind) {
+    case TargetKind::kSymmetric:
+      return "symmetric";
+    case TargetKind::kAsymmetric:
+      return "asymmetric";
+    case TargetKind::kEmpty:
+      return "empty";
+  }
+  return "?";
+}
+
+TEST(KernelEquivalenceTest, InnerProductBceMatchesUnfusedComposition) {
+  // Gradient: bit-identical to the unfused dense composition on every ISA
+  // (C·Z and Cᵀ·Z separately). Loss: bit-identical across ISAs and within
+  // 1e-13 relative of the BceSweep-order reference. N spans the tile edges
+  // (decoder::kTile = 64) and d the vector tails.
+  constexpr double kLossRelBound = 1e-13;
+  IsaGuard guard;
+  Rng rng(424242);
+  const double pos_weight = 3.7;
+  const double gs = 0.013;
+  int saturated_cases = 0;
+  for (const int n : {1, 2, 63, 64, 65, 130, 200}) {
+    for (const int d : {1, 3, 16, 17}) {
+      const AlignedVector z = DecoderEmbeddings(n, d, rng);
+      for (const TargetKind kind : {TargetKind::kSymmetric,
+                                    TargetKind::kAsymmetric,
+                                    TargetKind::kEmpty}) {
+        const CsrMatrix t = DecoderTarget(n, kind, rng);
+        const UnfusedDecoder want =
+            RunUnfusedDecoder(z, n, d, t, pos_weight, gs);
+        const size_t pairs = static_cast<size_t>(n) * (n + 1) / 2;
+        AlignedVector s(static_cast<size_t>(n) * n);
+        kernels::scalar::MatMulTransB(z.data(), z.data(), s.data(), n, d, n);
+        for (double v : s) saturated_cases += std::abs(v) > 745.0;
+        double scalar_loss = 0.0;
+        for (Isa isa : kernels::SupportedIsas()) {
+          kernels::SetIsaForTesting(isa);
+          AlignedVector sigma(pairs, -1.0);
+          const double loss = kernels::InnerProductBce(
+              z.data(), n, d, t.row_ptr().data(), t.col_idx().data(),
+              t.values().data(), pos_weight, sigma.data());
+          AlignedVector cz(static_cast<size_t>(n) * d, 0.0);
+          AlignedVector ctz(static_cast<size_t>(n) * d, 0.0);
+          kernels::InnerProductBceGrad(z.data(), n, d, t.row_ptr().data(),
+                                       t.col_idx().data(), t.values().data(),
+                                       pos_weight, gs, sigma.data(),
+                                       cz.data(), ctz.data());
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " d=" << d << " target="
+                       << TargetName(kind));
+          // σ of the packed upper triangle, row-major from (0, 0).
+          for (int i = 0, e = 0; i < n; ++i) {
+            for (int j = i; j < n; ++j, ++e) {
+              ASSERT_EQ(sigma[static_cast<size_t>(e)],
+                        UnfusedSigmoid(s[static_cast<size_t>(i) * n + j]))
+                  << "sigma(" << i << "," << j << ") under "
+                  << kernels::IsaName(isa);
+            }
+          }
+          ExpectBitEqual(cz, want.cz, "InnerProductBceGrad(C*Z)", isa);
+          ExpectBitEqual(ctz, want.ctz, "InnerProductBceGrad(Ct*Z)", isa);
+          EXPECT_NEAR(loss, want.loss,
+                      kLossRelBound * std::max(1.0, std::abs(want.loss)))
+              << kernels::IsaName(isa);
+          if (isa == Isa::kScalar) scalar_loss = loss;
+          EXPECT_EQ(loss, scalar_loss) << kernels::IsaName(isa);
+          // Same-ISA determinism.
+          AlignedVector again(pairs);
+          EXPECT_EQ(kernels::InnerProductBce(
+                        z.data(), n, d, t.row_ptr().data(),
+                        t.col_idx().data(), t.values().data(), pos_weight,
+                        again.data()),
+                    loss);
+          ExpectBitEqual(again, sigma, "InnerProductBce(sigma)", isa);
+        }
+      }
+    }
+  }
+  EXPECT_GT(saturated_cases, 0) << "corpus never exercised |s| > 745";
+}
+
+TEST(KernelEquivalenceTest, InnerProductBceGradientThroughTapeMatchesUnfused) {
+  // End to end through the Tape: dL/dZ equals the unfused C·Z + Cᵀ·Z (with
+  // gs = norm/N²) bit for bit under every ISA, on a multi-tile asymmetric
+  // target.
+  IsaGuard guard;
+  Rng rng(77);
+  const int n = 130, d = 16;
+  const double pos_weight = 5.0, norm = 0.6;
+  const AlignedVector zbuf = DecoderEmbeddings(n, d, rng);
+  const CsrMatrix t = DecoderTarget(n, TargetKind::kAsymmetric, rng);
+  const UnfusedDecoder want = RunUnfusedDecoder(
+      zbuf, n, d, t, pos_weight, norm / (static_cast<double>(n) * n));
+  Matrix zm(n, d);
+  std::copy(zbuf.begin(), zbuf.end(), zm.data());
+  for (Isa isa : kernels::SupportedIsas()) {
+    kernels::SetIsaForTesting(isa);
+    Parameter z(zm);
+    Tape tape;
+    const Var loss = tape.InnerProductBceLoss(tape.Leaf(&z), &t, pos_weight,
+                                              norm);
+    tape.Backward(loss);
+    for (size_t e = 0; e < zbuf.size(); ++e) {
+      ASSERT_EQ(z.grad.data()[e], want.cz[e] + want.ctz[e])
+          << "flat index " << e << " under " << kernels::IsaName(isa);
     }
   }
 }
