@@ -159,6 +159,9 @@ void RunCalibratedProfilePass(rgae_bench::BenchObs* obs) {
   rgae::Parameter param(GaussianMatrix(64, 32, 1.0, rng));
   param.grad = GaussianMatrix(64, 32, 1.0, rng);
   rgae::Adam adam({&param}, {});
+  const rgae::CsrMatrix self_adj = g.Adjacency().AddSelfLoops();
+  const rgae::ReconTarget recon = rgae::MakeReconTarget(&self_adj);
+  rgae::Parameter embed(GaussianMatrix(400, 16, 0.5, rng));
 
   rgae::obs::Profiler::Global().Reset();
   {
@@ -169,6 +172,10 @@ void RunCalibratedProfilePass(rgae_bench::BenchObs* obs) {
       benchmark::DoNotOptimize(StudentTAssignments(z, centers));
       benchmark::DoNotOptimize(z.Sum());
       adam.Step();
+      rgae::Tape tape;
+      tape.Backward(tape.InnerProductBceLoss(
+          tape.Leaf(&embed), recon.graph, recon.pos_weight, recon.norm));
+      embed.ZeroGrad();
     }
   }
 
@@ -177,6 +184,8 @@ void RunCalibratedProfilePass(rgae_bench::BenchObs* obs) {
   const int64_t xc = x.cols();
   const int64_t n = z.rows(), k = centers.rows(), d = z.cols();
   const int64_t adam_elems = static_cast<int64_t>(param.value.size());
+  const int64_t en = embed.value.rows(), ed = embed.value.cols();
+  const int64_t pairs = en * (en + 1) / 2;
   rgae::obs::JsonValue expect = rgae::obs::JsonValue::MakeObject();
   expect.Set("kernel.spmm",
              rgae::obs::JsonValue(kReps * 2LL * nnz * xc));
@@ -188,6 +197,10 @@ void RunCalibratedProfilePass(rgae_bench::BenchObs* obs) {
   expect.Set("kernel.reduce",
              rgae::obs::JsonValue(kReps * static_cast<int64_t>(z.size())));
   expect.Set("kernel.adam", rgae::obs::JsonValue(kReps * 14 * adam_elems));
+  expect.Set("kernel.inner_product_bce",
+             rgae::obs::JsonValue(kReps * pairs * (2 * ed + 5)));
+  expect.Set("kernel.inner_product_bce_grad",
+             rgae::obs::JsonValue(kReps * (4 * en * en * ed + pairs)));
   obs->SetExtra("profile_expect", std::move(expect));
 }
 

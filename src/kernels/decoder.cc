@@ -1,9 +1,9 @@
-// Tile sweep of the fused inner-product decoder (DESIGN.md §9). This TU
-// is compiled once, without arch flags: every tier runs its scalar libm
-// sweeps and its loss accumulation, and the tiers differ only in the two
-// order-preserving products (TileOps) they hand in.
-
-#include "src/kernels/decoder.h"
+// The fused inner-product decoder (DESIGN.md §9). This TU is compiled
+// once, without arch flags: the sweeps, the transcendentals and the loss
+// accumulation are the same scalar code under every ISA, and only the two
+// dispatched products (MatMulTransB for the S tiles, MatMul for C·Z)
+// follow the selected tier. Both keep every output element's ascending,
+// FMA-free chain, so the results are bit-identical across ISAs.
 
 #include <algorithm>
 #include <cmath>
@@ -11,13 +11,15 @@
 #include <vector>
 
 #include "src/kernels/aligned.h"
+#include "src/kernels/kernels.h"
 
 namespace rgae {
 namespace kernels {
-namespace decoder {
 
 namespace {
 
+/// Edge of the square node tiles the sweeps run over.
+constexpr int kTile = 64;
 constexpr size_t kTileEntries = static_cast<size_t>(kTile) * kTile;
 
 /// Offset of (i, j), j >= i, in the packed row-major upper triangle of an
@@ -44,25 +46,6 @@ double PairSweep(double s, double* sigma) {
   return std::log1p(e) + std::max(s, 0.0);
 }
 
-/// True when C is symmetric, i.e. (i, j) is a positive exactly when (j, i)
-/// is. Then every row of Cᵀ·Z meets the same coefficients in the same
-/// order as the row of C·Z, so the two products are equal bit for bit.
-bool PositivesSymmetric(int n, const int* row_ptr, const int* col_idx,
-                        const double* values) {
-  for (int i = 0; i < n; ++i) {
-    for (int k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      if (values[k] == 0.0) continue;
-      const int* first = col_idx + row_ptr[col_idx[k]];
-      const int* last = col_idx + row_ptr[col_idx[k] + 1];
-      const int* mirror = std::lower_bound(first, last, i);
-      if (mirror == last || *mirror != i || values[mirror - col_idx] == 0.0) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 /// Advances row `row`'s CSR cursor to the entries with column in
 /// [begin, end) and calls f(col) for each positive (non-zero value) one.
 /// Columns ascend within a row and the sweep visits every row's column
@@ -81,9 +64,9 @@ void ConsumePositives(int row, int begin, int end, const int* row_ptr,
 
 }  // namespace
 
-double Forward(const TileOps& ops, const double* z, int n, int d,
-               const int* row_ptr, const int* col_idx, const double* values,
-               double pos_weight, double* sigma) {
+double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
+                       const int* col_idx, const double* values,
+                       double pos_weight, double* sigma) {
   AlignedVector s_tile(kTileEntries);
   double diag = 0.0;
   double upper = 0.0;
@@ -91,8 +74,8 @@ double Forward(const TileOps& ops, const double* z, int n, int d,
     const int mi = std::min(kTile, n - i0);
     for (int j0 = i0; j0 < n; j0 += kTile) {
       const int mj = std::min(kTile, n - j0);
-      ops.gram(z + static_cast<size_t>(i0) * d,
-               z + static_cast<size_t>(j0) * d, s_tile.data(), mi, d, mj);
+      MatMulTransB(z + static_cast<size_t>(i0) * d,
+                   z + static_cast<size_t>(j0) * d, s_tile.data(), mi, d, mj);
       // Per-tile partial sums, folded into the totals in tile order.
       double tile_diag = 0.0;
       double tile_upper = 0.0;
@@ -124,18 +107,15 @@ double Forward(const TileOps& ops, const double* z, int n, int d,
   return loss;
 }
 
-void Backward(const TileOps& ops, const double* z, int n, int d,
-              const int* row_ptr, const int* col_idx, const double* values,
-              double pos_weight, double gs, const double* sigma, double* cz,
-              double* ctz) {
+void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
+                         const int* col_idx, const double* values,
+                         double pos_weight, double gs, const double* sigma,
+                         double* cz, double* ctz) {
   // Per tile pair: p[i][j] = C_ij and q[i][j] = C_ji (the mirror, which
   // differs from C_ij only where exactly one of (i,j), (j,i) is positive);
-  // pt and qt are their transposes, the coefficients of the J rows. With
-  // symmetric positives q == p, so only C·Z is formed and Cᵀ·Z copied.
-  const bool symmetric = PositivesSymmetric(n, row_ptr, col_idx, values);
+  // pt and qt are their transposes, the coefficients of the J rows.
   AlignedVector p(kTileEntries), q(kTileEntries), pt(kTileEntries),
       qt(kTileEntries);
-  const double* mirror_t = symmetric ? pt.data() : qt.data();
   std::vector<int> cursor(row_ptr, row_ptr + n);
   const double gsw = gs * pos_weight;
   const auto positive = [&](int i, int j) {
@@ -155,10 +135,8 @@ void Backward(const TileOps& ops, const double* z, int n, int d,
         p[static_cast<size_t>(c) * mi + r] = v;
       }
     }
-    if (!symmetric) {
-      std::copy(p.begin(), p.begin() + static_cast<size_t>(mi) * mi,
-                q.begin());
-    }
+    std::copy(p.begin(), p.begin() + static_cast<size_t>(mi) * mi,
+              q.begin());
     for (int r = 0; r < mi; ++r) {
       ConsumePositives(i0 + r, i0, i0 + mi, row_ptr, col_idx, values,
                        cursor.data(), [&](int j) {
@@ -168,8 +146,8 @@ void Backward(const TileOps& ops, const double* z, int n, int d,
                          q[static_cast<size_t>(c) * mi + r] = v;
                        });
     }
-    ops.gemm(p.data(), zi, cz_i, mi, mi, d);
-    if (!symmetric) ops.gemm(q.data(), zi, ctz_i, mi, mi, d);
+    MatMul(p.data(), zi, cz_i, mi, mi, d);
+    MatMul(q.data(), zi, ctz_i, mi, mi, d);
 
     for (int j0 = i0 + kTile; j0 < n; j0 += kTile) {
       const int mj = std::min(kTile, n - j0);
@@ -184,12 +162,10 @@ void Backward(const TileOps& ops, const double* z, int n, int d,
           pt[static_cast<size_t>(c) * mi + r] = v;
         }
       }
-      if (!symmetric) {
-        std::copy(p.begin(), p.begin() + static_cast<size_t>(mi) * mj,
-                  q.begin());
-        std::copy(pt.begin(), pt.begin() + static_cast<size_t>(mj) * mi,
-                  qt.begin());
-      }
+      std::copy(p.begin(), p.begin() + static_cast<size_t>(mi) * mj,
+                q.begin());
+      std::copy(pt.begin(), pt.begin() + static_cast<size_t>(mj) * mi,
+                qt.begin());
       // Row i's positives in J set C_ij; row j's positives in I set C_ji.
       for (int r = 0; r < mi; ++r) {
         ConsumePositives(i0 + r, j0, j0 + mj, row_ptr, col_idx, values,
@@ -200,7 +176,7 @@ void Backward(const TileOps& ops, const double* z, int n, int d,
                            pt[static_cast<size_t>(c) * mi + r] = v;
                          });
       }
-      for (int c = 0; c < mj && !symmetric; ++c) {
+      for (int c = 0; c < mj; ++c) {
         ConsumePositives(j0 + c, i0, i0 + mi, row_ptr, col_idx, values,
                          cursor.data(), [&](int i) {
                            const int r = i - i0;
@@ -211,17 +187,13 @@ void Backward(const TileOps& ops, const double* z, int n, int d,
       }
       // Rows of I take the J columns, rows of J the I columns: each row
       // meets its column tiles in ascending order across the whole sweep.
-      ops.gemm(p.data(), zj, cz_i, mi, mj, d);
-      ops.gemm(mirror_t, zi, cz_j, mj, mi, d);
-      if (!symmetric) {
-        ops.gemm(q.data(), zj, ctz_i, mi, mj, d);
-        ops.gemm(pt.data(), zi, ctz_j, mj, mi, d);
-      }
+      MatMul(p.data(), zj, cz_i, mi, mj, d);
+      MatMul(qt.data(), zi, cz_j, mj, mi, d);
+      MatMul(q.data(), zj, ctz_i, mi, mj, d);
+      MatMul(pt.data(), zi, ctz_j, mj, mi, d);
     }
   }
-  if (symmetric) std::copy(cz, cz + static_cast<size_t>(n) * d, ctz);
 }
 
-}  // namespace decoder
 }  // namespace kernels
 }  // namespace rgae

@@ -40,12 +40,6 @@ RGAE_KERNEL_STUB(AdamStepFn, AdamStep);
 RGAE_KERNEL_STUB(BceSweepFn, BceSweep);
 RGAE_KERNEL_STUB(TopTwoFn, TopTwo);
 
-// The decoder's AVX-512 slot is null on purpose: it falls through to AVX2.
-constexpr KernelStub<InnerProductBceFn> kInnerProductBceStub{
-    &scalar::InnerProductBce, RGAE_AVX2_FN(InnerProductBce), nullptr};
-constexpr KernelStub<InnerProductBceGradFn> kInnerProductBceGradStub{
-    &scalar::InnerProductBceGrad, RGAE_AVX2_FN(InnerProductBceGrad), nullptr};
-
 #undef RGAE_KERNEL_STUB
 #undef RGAE_AVX2_FN
 #undef RGAE_AVX512_FN
@@ -116,21 +110,6 @@ void AdamStep(double* value, const double* grad, double* m1, double* m2,
 
 double BceSweep(const double* s, int64_t n) {
   return kBceSweepStub.Get()(s, n);
-}
-
-double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
-                       const int* col_idx, const double* values,
-                       double pos_weight, double* sigma) {
-  return kInnerProductBceStub.Get()(z, n, d, row_ptr, col_idx, values,
-                                    pos_weight, sigma);
-}
-
-void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
-                         const int* col_idx, const double* values,
-                         double pos_weight, double gs, const double* sigma,
-                         double* cz, double* ctz) {
-  kInnerProductBceGradStub.Get()(z, n, d, row_ptr, col_idx, values,
-                                 pos_weight, gs, sigma, cz, ctz);
 }
 
 void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2) {

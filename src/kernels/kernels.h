@@ -26,7 +26,7 @@ namespace kernels {
 ///    per-element operation order (they vectorize across independent
 ///    output elements, never across a summation chain, and never use
 ///    FMA), and the transcendental sweeps (`BceSweep`, the decoder loss)
-///    run the same scalar libm code in every tier. `Sum`/`SumSquares`/
+///    run the same scalar libm code under every ISA. `Sum`/`SumSquares`/
 ///    `Dot` are true horizontal reductions, so their vector variants use
 ///    fixed lane-blocked accumulators instead: deterministic per ISA,
 ///    within a small documented ULP bound of scalar (see
@@ -102,39 +102,6 @@ using AdamStepFn = void (*)(double* value, const double* grad, double* m1,
 /// tiers alias scalar and the result is bit-identical across ISAs.
 using BceSweepFn = double (*)(const double* s, int64_t n);
 
-/// The fused inner-product decoder loss, forward half. For embeddings
-/// z(n,d) and a CSR target (columns ascending within each row, the
-/// CsrMatrix invariant; entries with value 0.0 are structural zeros),
-/// returns the un-normalized weighted BCE between sigmoid(Z Zᵀ) and the
-/// target: Σ_ij softplus(s_ij) plus, per positive, pos_weight·(softplus(s)
-/// - s) - softplus(s). S is built over the upper-triangle tiles only, with
-/// MatMulTransB's per-entry chain, so s_ij == s_ji bit for bit; one
-/// exp(-|s|) per unordered pair feeds both the softplus and σ(s), and σ
-/// for j >= i is written to `sigma`, packed row-major upper triangle of
-/// n(n+1)/2 doubles (row i starts at i·n - i(i-1)/2). The sum is formed as
-/// diag + 2·upper over per-tile partials in a fixed tile order, then the
-/// positives in CSR order: bit-identical across ISAs.
-using InnerProductBceFn = double (*)(const double* z, int n, int d,
-                                     const int* row_ptr, const int* col_idx,
-                                     const double* values, double pos_weight,
-                                     double* sigma);
-
-/// The decoder's backward half, from the forward's `sigma` and no
-/// transcendentals: with C_ij = gs·σ_ij for negatives and
-/// gs·pos_weight·(σ_ij - 1) at positives, cz(n,d) += C·Z and
-/// ctz(n,d) += Cᵀ·Z, both zero-filled by the caller (with symmetric
-/// positives ctz is a copy of cz). Each output row meets its coefficients
-/// in ascending column order with the c == 0.0 skip, so cz and ctz carry
-/// the bits of MatMul(C, Z) and MatMulTransA(C, Z) on a dense C, on every
-/// ISA; dL/dZ = cz + ctz.
-using InnerProductBceGradFn = void (*)(const double* z, int n, int d,
-                                       const int* row_ptr,
-                                       const int* col_idx,
-                                       const double* values,
-                                       double pos_weight, double gs,
-                                       const double* sigma, double* cz,
-                                       double* ctz);
-
 /// Operator Ξ's per-row top-two scan over p(n,k): lambda1/lambda2 (each
 /// length n) receive the largest and second-largest entry of every row.
 /// Comparison-only, hence exact on every ISA. Requires k >= 2.
@@ -171,14 +138,43 @@ void AdamStep(double* value, const double* grad, double* m1, double* m2,
               int64_t n, double beta1, double beta2, double lr, double eps,
               double bc1, double bc2);
 double BceSweep(const double* s, int64_t n);
+void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2);
+
+// ---------------------------------------------------------------------------
+// The fused inner-product decoder (kernels/decoder.cc). One tile sweep,
+// compiled once without arch flags, over 64×64 node-tile pairs I <= J in
+// row-major upper-triangle order. Its products go through the dispatched
+// MatMulTransB and MatMul above, so it follows the selected ISA; its
+// transcendentals and loss accumulation are scalar libm code.
+// ---------------------------------------------------------------------------
+
+/// Forward half. For embeddings z(n,d) and a CSR target (columns ascending
+/// within each row, the CsrMatrix invariant; entries with value 0.0 are
+/// structural zeros), returns the un-normalized weighted BCE between
+/// sigmoid(Z Zᵀ) and the target: Σ_ij softplus(s_ij) plus, per positive,
+/// pos_weight·(softplus(s) - s) - softplus(s). S is built over the
+/// upper-triangle tiles only, with MatMulTransB's per-entry chain, so
+/// s_ij == s_ji bit for bit; one exp(-|s|) per unordered pair feeds both
+/// the softplus and σ(s), and σ for j >= i is written to `sigma`, packed
+/// row-major upper triangle of n(n+1)/2 doubles (row i starts at
+/// i·n - i(i-1)/2). The sum is formed as diag + 2·upper over per-tile
+/// partials in a fixed tile order, then the positives in CSR order:
+/// bit-identical across ISAs.
 double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
                        const int* col_idx, const double* values,
                        double pos_weight, double* sigma);
+
+/// Backward half, from the forward's `sigma` and no transcendentals: with
+/// C_ij = gs·σ_ij for negatives and gs·pos_weight·(σ_ij - 1) at
+/// positives, cz(n,d) += C·Z and ctz(n,d) += Cᵀ·Z, both zero-filled by
+/// the caller. Each output row meets its coefficients in ascending column
+/// order with the c == 0.0 skip, so cz and ctz carry the bits of
+/// MatMul(C, Z) and MatMulTransA(C, Z) on a dense C, on every ISA;
+/// dL/dZ = cz + ctz.
 void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
                          const int* col_idx, const double* values,
                          double pos_weight, double gs, const double* sigma,
                          double* cz, double* ctz);
-void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2);
 
 // ---------------------------------------------------------------------------
 // Per-ISA implementations, one translation unit each (kernels_scalar.cc,
@@ -219,32 +215,15 @@ void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2);
               double* lambda2);                                               \
   }  // namespace ns
 
-// The fused decoder has scalar and AVX2 bodies only; its AVX-512 stub
-// slot stays null and falls through to AVX2.
-#define RGAE_DECLARE_DECODER_TIER(ns)                                         \
-  namespace ns {                                                              \
-  double InnerProductBce(const double* z, int n, int d, const int* row_ptr,   \
-                         const int* col_idx, const double* values,            \
-                         double pos_weight, double* sigma);                   \
-  void InnerProductBceGrad(const double* z, int n, int d,                     \
-                           const int* row_ptr, const int* col_idx,            \
-                           const double* values, double pos_weight,           \
-                           double gs, const double* sigma, double* cz,        \
-                           double* ctz);                                      \
-  }  // namespace ns
-
 RGAE_DECLARE_KERNEL_TIER(scalar)
-RGAE_DECLARE_DECODER_TIER(scalar)
 #if defined(RGAE_KERNELS_HAVE_AVX2)
 RGAE_DECLARE_KERNEL_TIER(avx2)
-RGAE_DECLARE_DECODER_TIER(avx2)
 #endif
 #if defined(RGAE_KERNELS_HAVE_AVX512)
 RGAE_DECLARE_KERNEL_TIER(avx512)
 #endif
 
 #undef RGAE_DECLARE_KERNEL_TIER
-#undef RGAE_DECLARE_DECODER_TIER
 
 }  // namespace kernels
 }  // namespace rgae

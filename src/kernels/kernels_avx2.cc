@@ -14,11 +14,8 @@
 #include <immintrin.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <new>
 
-#include "src/kernels/decoder.h"
 #include "src/kernels/kernels.h"
 
 namespace rgae {
@@ -28,7 +25,6 @@ namespace avx2 {
 namespace {
 
 constexpr int kGemmRowBlock = 4;  // Register-accumulator rows per GEMM tile.
-constexpr int kTransBDepth = 32;  // k steps per MatMulTransB packing pass.
 
 /// Lane sum in a fixed order: ((l0 + l1) + l2) + l3.
 double HsumOrdered(__m256d v) {
@@ -133,67 +129,29 @@ void MatMulTransA(const double* a, const double* b, double* out, int k, int m,
 
 void MatMulTransB(const double* a, const double* b, double* out, int m, int k,
                   int n) {
-  // Each pass packs kTransBDepth columns of b k-major into one panel, so a
-  // k step feeds 4×8 register accumulators from two contiguous loads
-  // instead of strided gathers; out is still written row after row.
-  // Partial sums carry over between passes through out: every entry's
-  // chain runs over k in ascending order from 0.0 — scalar bits. (k == 0
-  // runs one empty pass, which stores the zeros.)
-  double* bt = static_cast<double*>(std::malloc(
-      sizeof(double) * kTransBDepth * static_cast<size_t>(n > 0 ? n : 1)));
-  if (bt == nullptr) throw std::bad_alloc();
-  for (int k0 = 0; k0 == 0 || k0 < k; k0 += kTransBDepth) {
-    const int kd = k - k0 < kTransBDepth ? k - k0 : kTransBDepth;
-    const bool first = k0 == 0;
-    for (int j = 0; j < n; ++j) {
-      const double* b_row = b + static_cast<size_t>(j) * k + k0;
-      for (int kk = 0; kk < kd; ++kk) {
-        bt[static_cast<size_t>(kk) * n + j] = b_row[kk];
+  // Four dot products (four b rows) in flight per vector; the k-chain of
+  // each output element stays sequential, so no cross-ISA drift.
+  for (int i = 0; i < m; ++i) {
+    const double* a_row = a + static_cast<size_t>(i) * k;
+    double* out_row = out + static_cast<size_t>(i) * n;
+    int j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const double* b_block = b + static_cast<size_t>(j) * k;
+      __m256d acc = _mm256_setzero_pd();
+      for (int kk = 0; kk < k; ++kk) {
+        const __m256d av = _mm256_set1_pd(a_row[kk]);
+        const __m256d bv = GatherColumn(b_block, k, kk);
+        acc = _mm256_add_pd(acc, _mm256_mul_pd(av, bv));
       }
+      _mm256_storeu_pd(out_row + j, acc);
     }
-    for (int i = 0; i < m; i += kGemmRowBlock) {
-      const int mr = m - i < kGemmRowBlock ? m - i : kGemmRowBlock;
-      const double* a_blk = a + static_cast<size_t>(i) * k + k0;
-      double* out_blk = out + static_cast<size_t>(i) * n;
-      int j = 0;
-      for (; j + 8 <= n; j += 8) {
-        __m256d acc[kGemmRowBlock][2];
-        for (int r = 0; r < mr; ++r) {
-          const double* o = out_blk + static_cast<size_t>(r) * n + j;
-          acc[r][0] = first ? _mm256_setzero_pd() : _mm256_loadu_pd(o);
-          acc[r][1] = first ? _mm256_setzero_pd() : _mm256_loadu_pd(o + 4);
-        }
-        for (int kk = 0; kk < kd; ++kk) {
-          const double* bt_row = bt + static_cast<size_t>(kk) * n + j;
-          const __m256d b0 = _mm256_loadu_pd(bt_row);
-          const __m256d b1 = _mm256_loadu_pd(bt_row + 4);
-          for (int r = 0; r < mr; ++r) {
-            const __m256d av =
-                _mm256_set1_pd(a_blk[static_cast<size_t>(r) * k + kk]);
-            acc[r][0] = _mm256_add_pd(acc[r][0], _mm256_mul_pd(av, b0));
-            acc[r][1] = _mm256_add_pd(acc[r][1], _mm256_mul_pd(av, b1));
-          }
-        }
-        for (int r = 0; r < mr; ++r) {
-          double* o = out_blk + static_cast<size_t>(r) * n + j;
-          _mm256_storeu_pd(o, acc[r][0]);
-          _mm256_storeu_pd(o + 4, acc[r][1]);
-        }
-      }
-      for (; j < n; ++j) {
-        for (int r = 0; r < mr; ++r) {
-          const double* a_row = a_blk + static_cast<size_t>(r) * k;
-          double* o = out_blk + static_cast<size_t>(r) * n + j;
-          double s = first ? 0.0 : *o;
-          for (int kk = 0; kk < kd; ++kk) {
-            s += a_row[kk] * bt[static_cast<size_t>(kk) * n + j];
-          }
-          *o = s;
-        }
-      }
+    for (; j < n; ++j) {
+      const double* b_row = b + static_cast<size_t>(j) * k;
+      double s = 0.0;
+      for (int kk = 0; kk < k; ++kk) s += a_row[kk] * b_row[kk];
+      out_row[j] = s;
     }
   }
-  std::free(bt);
 }
 
 void SpmmRow(const int* cols, const double* vals, int count, const double* x,
@@ -412,21 +370,6 @@ double BceSweep(const double* s, int64_t n) {
   // Transcendental-bound (log1p + exp per entry): the vector tier aliases
   // the scalar reference so the loss stays bit-identical across ISAs.
   return scalar::BceSweep(s, n);
-}
-
-double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
-                       const int* col_idx, const double* values,
-                       double pos_weight, double* sigma) {
-  return decoder::Forward({&avx2::MatMulTransB, &avx2::MatMul}, z, n, d,
-                          row_ptr, col_idx, values, pos_weight, sigma);
-}
-
-void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
-                         const int* col_idx, const double* values,
-                         double pos_weight, double gs, const double* sigma,
-                         double* cz, double* ctz) {
-  decoder::Backward({&avx2::MatMulTransB, &avx2::MatMul}, z, n, d, row_ptr,
-                    col_idx, values, pos_weight, gs, sigma, cz, ctz);
 }
 
 void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2) {

@@ -6,9 +6,10 @@
 // blocking (deterministic, documented ULP bound vs scalar).
 //
 // Only the ops that are bandwidth- or GEMM-bound get genuine 512-bit
-// bodies; the transposed-B matmul and the gather-heavy ops (soft
-// assignments, top-two, scatter) delegate to the AVX2 tier so every op is
-// still callable through the avx512 namespace.
+// bodies; the gather-heavy ops (transposed-B matmul, soft assignments,
+// top-two, scatter) see no win from wider registers on this access
+// pattern and delegate to the AVX2 tier so every op is still callable
+// through the avx512 namespace.
 
 #include <immintrin.h>
 

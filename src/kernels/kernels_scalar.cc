@@ -8,7 +8,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/kernels/decoder.h"
 #include "src/kernels/kernels.h"
 
 namespace rgae {
@@ -177,23 +176,6 @@ double BceSweep(const double* s, int64_t n) {
     loss += std::log1p(std::exp(-std::abs(s[i]))) + std::max(s[i], 0.0);
   }
   return loss;
-}
-
-// The fused decoder is new code, not a moved loop: the reference tier
-// runs the shared tile sweeps (decoder.cc) on this tier's products.
-double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
-                       const int* col_idx, const double* values,
-                       double pos_weight, double* sigma) {
-  return decoder::Forward({&scalar::MatMulTransB, &scalar::MatMul}, z, n, d,
-                          row_ptr, col_idx, values, pos_weight, sigma);
-}
-
-void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
-                         const int* col_idx, const double* values,
-                         double pos_weight, double gs, const double* sigma,
-                         double* cz, double* ctz) {
-  decoder::Backward({&scalar::MatMulTransB, &scalar::MatMul}, z, n, d,
-                    row_ptr, col_idx, values, pos_weight, gs, sigma, cz, ctz);
 }
 
 void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2) {

@@ -723,11 +723,12 @@ void Tape::BackwardNode(int id) {
       Matrix ctz(nrows, d);
       {
         RGAE_TIMED_KERNEL("kernel.inner_product_bce_grad");
-        // One multiply per C entry and two N×N×d products (2 flops per
-        // term). Reads σ and Z, writes C·Z and Cᵀ·Z.
+        // Two N×N×d products, C·Z and Cᵀ·Z (2 flops per term), and one
+        // multiply per unordered pair to form C from σ. Reads σ and Z,
+        // writes C·Z and Cᵀ·Z.
         const int64_t pairs = static_cast<int64_t>(nrows) * (nrows + 1) / 2;
         RGAE_KERNEL_WORK("kernel.inner_product_bce_grad",
-                         static_cast<int64_t>(nrows) * nrows * (4LL * d + 1),
+                         4LL * nrows * nrows * d + pairs,
                          8LL * (pairs + 3LL * nrows * d));
         kernels::InnerProductBceGrad(
             z.data(), nrows, d, n.sparse->row_ptr().data(),

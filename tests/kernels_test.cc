@@ -578,7 +578,7 @@ TEST(KernelEquivalenceTest, InnerProductBceMatchesUnfusedComposition) {
   // Gradient: bit-identical to the unfused dense composition on every ISA
   // (C·Z and Cᵀ·Z separately). Loss: bit-identical across ISAs and within
   // 1e-13 relative of the BceSweep-order reference. N spans the tile edges
-  // (decoder::kTile = 64) and d the vector tails.
+  // (64-node tiles) and d the vector tails.
   constexpr double kLossRelBound = 1e-13;
   IsaGuard guard;
   Rng rng(424242);
