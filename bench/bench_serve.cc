@@ -62,8 +62,6 @@ rgae::obs::JsonValue PhaseJson(const PhaseReport& phase) {
   cache.Set("misses", rgae::obs::JsonValue(phase.cache.misses));
   cache.Set("evictions", rgae::obs::JsonValue(phase.cache.evictions));
   cache.Set("invalidations", rgae::obs::JsonValue(phase.cache.invalidations));
-  cache.Set("stale_evictions",
-            rgae::obs::JsonValue(phase.cache.stale_evictions));
   out.Set("cache", std::move(cache));
   out.Set("mutations", rgae::obs::JsonValue(phase.mutations));
   out.Set("invalidated_rows", rgae::obs::JsonValue(phase.invalidated_rows));
@@ -77,7 +75,6 @@ rgae::serve::CacheCounters DiffCounters(const rgae::serve::CacheCounters& a,
   d.misses = b.misses - a.misses;
   d.evictions = b.evictions - a.evictions;
   d.invalidations = b.invalidations - a.invalidations;
-  d.stale_evictions = b.stale_evictions - a.stale_evictions;
   return d;
 }
 

@@ -28,15 +28,6 @@ Enforces invariants that generic tools do not know about:
                       deliberately leaves locking to its caller opts out by
                       carrying an `Externally synchronized` comment in the
                       .cc file or its paired header (ForwardEngine does).
-  R7 backpressure  -- in src/serve/*.cc, a push onto a queue-like member
-                      (identifier containing "queue" with the member
-                      trailing underscore) must share its function with an
-                      admission/capacity check (a call to Offer(...), a
-                      .size() comparison, or a "capacity" mention). An
-                      unbounded producer-side push is how overload turns
-                      into OOM instead of shed load (DESIGN.md §8.6). A
-                      push whose bound is enforced elsewhere opts out with
-                      a `// Bounded by admission.` comment on the line.
   R8 timing        -- in src/ (outside src/obs/ and src/core/deadline.*),
                       raw monotonic-clock reads (steady_clock::now,
                       high_resolution_clock::now, Clock::now, NowMicros)
@@ -47,16 +38,6 @@ Enforces invariants that generic tools do not know about:
                       serve_us on QueryResult) opt out with a
                       `// Raw timing: <why>` comment on the line or within
                       the three lines above it.
-  R9 socket bounds -- in src/, a blocking socket syscall (recv, send,
-                      accept, connect) must show its bound: a
-                      deadline/timeout/poll mention on the line, within the
-                      three lines above, or on the line below (the
-                      serve/net socket layer routes every call through a
-                      deadline-bounded PollWait). A deliberately unbounded
-                      call opts out with an `// Unbounded I/O: <why>`
-                      comment in the same window. Unbounded network I/O is
-                      how one dead peer pins a worker forever
-                      (DESIGN.md §8.7).
   R10 raw sync     -- in src/ outside util/sync.h, the std synchronization
                       types (std::mutex and friends, std::lock_guard,
                       std::unique_lock, std::scoped_lock,
@@ -73,7 +54,7 @@ Enforces invariants that generic tools do not know about:
                       the same file (it guards data), or carry a
                       `// Protocol lock:` comment within the three lines
                       above its declaration (it serializes operations, not
-                      data — e.g. ServeRegistry's swap lock). A mutex that
+                      data). A mutex that
                       guards nothing and says nothing is either dead weight
                       or an unprotected invariant.
   R12 simd scope   -- raw SIMD intrinsics (an <immintrin.h>/<x86intrin.h>
@@ -88,7 +69,8 @@ Enforces invariants that generic tools do not know about:
 
 Run: python3 scripts/rgae_lint.py [--root DIR]. Exits 1 if any finding.
 Run: python3 scripts/rgae_lint.py --self-test to lint seeded fixture files
-and verify each rule both fires on a violation and respects its opt-out.
+and verify each rule both fires on a violation and respects its opt-out; it
+also fails when a rule the linter can report has no fixture that fires it.
 Registered as the ctest cases `lint_rgae_sources` and `lint_rgae_selftest`
 (label: lint).
 """
@@ -149,19 +131,6 @@ SERVE_WRITE_RE = re.compile(
     r"|\b[A-Za-z_]\w*_\s*\.\s*(?:" + SERVE_MUTATORS + r")\s*\("
 )
 
-# R7: producer-side pushes onto serve queues must be bounded. The pattern
-# matches member fields whose name contains "queue"; locals are exempt
-# (batches popped off the queue are already bounded by max_batch).
-SERVE_QUEUE_PUSH_RE = re.compile(
-    r"\b[A-Za-z_]*queue\w*_\s*\.\s*"
-    r"(?:push_back|push_front|push|emplace_back|emplace_front|emplace)\s*\(",
-    re.IGNORECASE,
-)
-SERVE_CAPACITY_RE = re.compile(
-    r"capacity|\bOffer\s*\(|\.size\s*\(\s*\)\s*(?:[<>]=?|==)"
-)
-SERVE_BOUNDED_NOTE = "Bounded by admission"
-
 # R8: raw clock reads in src/ must go through the obs macros. src/obs/ is
 # the implementation of those macros; src/core/deadline.* owns deadline
 # arithmetic (and is already the R1 carve-out).
@@ -174,15 +143,6 @@ TIMING_RE = re.compile(
 )
 TIMING_NOTE = "Raw timing:"
 TIMING_NOTE_WINDOW = 3  # opt-out comment may sit up to 3 lines above
-
-# R9: blocking socket syscalls in src/ must carry a visible bound. The
-# evidence window runs three lines above through one line below the call,
-# so a trailing comment on a wrapped argument list still counts.
-SOCKET_SCOPE = "src/"
-SOCKET_CALL_RE = re.compile(r"\b(?:recv|send|accept|connect)\s*\(")
-SOCKET_BOUND_RE = re.compile(r"deadline|timeout|poll", re.IGNORECASE)
-SOCKET_NOTE = "Unbounded I/O:"
-SOCKET_NOTE_WINDOW = 3
 
 # R10: raw std synchronization in src/ outside the wrapper itself. The
 # token list covers the types and their headers; `// Raw sync:` opts out a
@@ -293,32 +253,6 @@ def lint_serve_sync(root, rel, raw_lines, code_lines, findings):
             )
 
 
-def lint_serve_queue_bounds(rel, raw_lines, code_lines, findings):
-    """R7: a push onto a queue-like member in src/serve/*.cc must share its
-    function with an admission/capacity check, or carry an explicit
-    `// Bounded by admission.` note on the pushing line."""
-    spans = []
-    func_start = 0
-    for i, code in enumerate(code_lines):
-        if SERVE_FUNC_RE.match(code):
-            spans.append((func_start, i))
-            func_start = i
-    spans.append((func_start, len(code_lines)))
-    for start, end in spans:
-        if any(SERVE_CAPACITY_RE.search(code_lines[j])
-               for j in range(start, end)):
-            continue
-        for j in range(start, end):
-            if (SERVE_QUEUE_PUSH_RE.search(code_lines[j])
-                    and SERVE_BOUNDED_NOTE not in raw_lines[j]):
-                findings.append(
-                    f"{rel}:{j + 1}: [R7] unbounded push onto a queue "
-                    "member; run admission / check capacity in this "
-                    "function, or mark the line `// Bounded by admission.` "
-                    "(DESIGN.md §8.6)"
-                )
-
-
 def lint_timing(rel, raw_lines, code_lines, findings):
     """R8: raw clock reads in src/ must go through RGAE_SPAN /
     RGAE_TIMED_KERNEL (or carry a `// Raw timing:` opt-out nearby)."""
@@ -337,28 +271,6 @@ def lint_timing(rel, raw_lines, code_lines, findings):
             "RGAE_TIMED_KERNEL so the profiler sees it, or mark the site "
             "`// Raw timing: <why>` when the timestamp is product data "
             "(DESIGN.md §7)"
-        )
-
-
-def lint_socket_bounds(rel, raw_lines, code_lines, findings):
-    """R9: a blocking socket syscall in src/ must have a deadline/timeout/
-    poll mention nearby, or an `// Unbounded I/O:` justification."""
-    if not rel.startswith(SOCKET_SCOPE):
-        return
-    for i, code in enumerate(code_lines):
-        if not SOCKET_CALL_RE.search(code):
-            continue
-        lo = max(0, i - SOCKET_NOTE_WINDOW)
-        hi = min(len(raw_lines), i + 2)
-        window = raw_lines[lo:hi]
-        if any(SOCKET_NOTE in line for line in window):
-            continue
-        if any(SOCKET_BOUND_RE.search(line) for line in window):
-            continue
-        findings.append(
-            f"{rel}:{i + 1}: [R9] blocking socket syscall without a visible "
-            "timeout/deadline; bound it (poll with a Deadline budget) or "
-            "justify with `// Unbounded I/O: <why>` (DESIGN.md §8.7)"
         )
 
 
@@ -471,7 +383,8 @@ def lint_file(root, rel, findings):
                     "std::set or collect-and-sort before emitting"
                 )
 
-        inc = INCLUDE_RE.match(code)
+        # The raw line: string stripping blanks the include path.
+        inc = INCLUDE_RE.match(raw)
         if inc and not inc.group(1).startswith(
                 ("src/", "bench/", "tests/", "examples/")):
             findings.append(
@@ -493,10 +406,8 @@ def lint_file(root, rel, findings):
 
     if rel.startswith(SERVE_SCOPE) and rel.endswith(".cc"):
         lint_serve_sync(root, rel, raw_lines, code_lines, findings)
-        lint_serve_queue_bounds(rel, raw_lines, code_lines, findings)
 
     lint_timing(rel, raw_lines, code_lines, findings)
-    lint_socket_bounds(rel, raw_lines, code_lines, findings)
     lint_raw_sync(rel, raw_lines, code_lines, findings)
     lint_guarded_by(rel, raw_lines, code_lines, findings)
     lint_simd_scope(rel, raw_lines, code_lines, findings)
@@ -530,10 +441,131 @@ def scan_tree(root):
 
 
 # Seeded fixtures for --self-test: (relative path, contents, rules that MUST
-# fire on the file, rules that must NOT). Each rule gets one violating
-# fixture and one opted-out/clean twin, so the self-test catches both a rule
-# going blind and an opt-out comment losing effect.
+# fire on the file, rules that must NOT). Every rule gets a violating
+# fixture, and every opt-out comment or carve-out an exempted twin, so the
+# self-test catches both a rule going blind and an opt-out losing effect.
 SELF_TEST_FIXTURES = [
+    (
+        "src/fix/ambient_rng.cc",
+        '#include "src/fix/ambient_rng.h"\n'
+        "#include <cstdlib>\n"
+        "namespace rgae {\n"
+        "int Roll() { return std::rand(); }\n"
+        "}  // namespace rgae\n",
+        ["R1"],
+        [],
+    ),
+    (
+        # core/deadline owns wall-clock access.
+        "src/core/deadline.cc",
+        '#include "src/core/deadline.h"\n'
+        "#include <chrono>\n"
+        "namespace rgae {\n"
+        "long WallSeconds() {\n"
+        "  return std::chrono::duration_cast<std::chrono::seconds>(\n"
+        "      std::chrono::system_clock::now().time_since_epoch()).count();\n"
+        "}\n"
+        "}  // namespace rgae\n",
+        [],
+        ["R1"],
+    ),
+    (
+        "src/fix/unordered_iter.cc",
+        '#include "src/fix/unordered_iter.h"\n'
+        "#include <unordered_map>\n"
+        "namespace rgae {\n"
+        "int Total() {\n"
+        "  std::unordered_map<int, int> counts;\n"
+        "  int total = 0;\n"
+        "  for (const auto& kv : counts) total += kv.second;\n"
+        "  return total;\n"
+        "}\n"
+        "}  // namespace rgae\n",
+        ["R2"],
+        [],
+    ),
+    (
+        "src/fix/unrooted_include.cc",
+        '#include "helpers.h"\n'
+        "namespace rgae {\n"
+        "int Answer() { return 42; }\n"
+        "}  // namespace rgae\n",
+        ["R3"],
+        [],
+    ),
+    (
+        "src/fix/no_guard.h",
+        '#include "src/util/sync.h"\n'
+        "namespace rgae {\n"
+        "int Answer();\n"
+        "}  // namespace rgae\n",
+        ["R3"],
+        [],
+    ),
+    (
+        "src/fix/raw_new.cc",
+        '#include "src/fix/raw_new.h"\n'
+        "namespace rgae {\n"
+        "int* Make() { return new int(7); }\n"
+        "}  // namespace rgae\n",
+        ["R4"],
+        [],
+    ),
+    (
+        "src/fix/leak_once.cc",
+        '#include "src/fix/leak_once.h"\n'
+        "namespace rgae {\n"
+        "Registry& Registry::Global() {\n"
+        "  static Registry* const instance = new Registry();  // Never dies.\n"
+        "  return *instance;\n"
+        "}\n"
+        "}  // namespace rgae\n",
+        [],
+        ["R4"],
+    ),
+    (
+        "src/fix/using_std.cc",
+        '#include "src/fix/using_std.h"\n'
+        "using namespace std;\n",
+        ["R5"],
+        [],
+    ),
+    (
+        # A class whose caller holds the lock opts out of R6.
+        "src/serve/fix_external_sync.cc",
+        '#include "src/serve/fix_external_sync.h"\n'
+        "namespace rgae {\n"
+        "namespace serve {\n"
+        "// Externally synchronized: the owner holds its state mutex.\n"
+        "void Fixture::Bump() {\n"
+        "  ++count_;\n"
+        "}\n"
+        "}  // namespace serve\n"
+        "}  // namespace rgae\n",
+        [],
+        ["R6"],
+    ),
+    (
+        "src/fix/raw_clock.cc",
+        '#include "src/fix/raw_clock.h"\n'
+        "#include <chrono>\n"
+        "namespace rgae {\n"
+        "auto Stamp() { return std::chrono::steady_clock::now(); }\n"
+        "}  // namespace rgae\n",
+        ["R8"],
+        [],
+    ),
+    (
+        "src/fix/raw_clock_optout.cc",
+        '#include "src/fix/raw_clock_optout.h"\n'
+        "#include <chrono>\n"
+        "namespace rgae {\n"
+        "// Raw timing: fixture stores the timestamp as product data.\n"
+        "auto Stamp() { return std::chrono::steady_clock::now(); }\n"
+        "}  // namespace rgae\n",
+        [],
+        ["R8"],
+    ),
     (
         "src/fix/raw_sync_bad.cc",
         '#include "src/fix/raw_sync_bad.h"\n'
@@ -663,12 +695,26 @@ SELF_TEST_FIXTURES = [
 ]
 
 
+def reported_rules():
+    """Every rule id a finding can carry, read off the `[Rn]` tags of this
+    file's finding messages, so a new rule cannot ship without a fixture."""
+    with open(__file__, encoding="utf-8") as f:
+        return set(re.findall(r"\[(R\d+)\]", f.read()))
+
+
 def run_self_test():
     """Writes the seeded fixtures into a temp tree, lints it, and checks
-    every expected rule fired (and no suppressed rule leaked)."""
+    every expected rule fired (and no suppressed rule leaked), and that
+    every reportable rule has a fixture that fires it."""
     import tempfile
 
-    failures = []
+    covered = {rule for _, _, must_fire, _ in SELF_TEST_FIXTURES
+               for rule in must_fire}
+    failures = [
+        f"self-test: no fixture fires {rule}"
+        for rule in sorted(reported_rules() - covered,
+                           key=lambda r: int(r[1:]))
+    ]
     with tempfile.TemporaryDirectory(prefix="rgae_lint_selftest_") as root:
         for rel, content, _, _ in SELF_TEST_FIXTURES:
             path = os.path.join(root, rel)

@@ -78,118 +78,4 @@ int FaultInjector::Apply(bool pretrain, int epoch, GaeModel* model) {
   return fired;
 }
 
-const char* ServeFaultTypeName(ServeFault::Type type) {
-  switch (type) {
-    case ServeFault::Type::kWorkerStall:
-      return "worker-stall";
-    case ServeFault::Type::kQueueBurst:
-      return "queue-burst";
-    case ServeFault::Type::kSnapshotCorruptOnSwap:
-      return "snapshot-corrupt-on-swap";
-    case ServeFault::Type::kTornWrite:
-      return "torn-write";
-    case ServeFault::Type::kConnReset:
-      return "conn-reset";
-    case ServeFault::Type::kAcceptStall:
-      return "accept-stall";
-    case ServeFault::Type::kByteStall:
-      return "byte-stall";
-  }
-  return "unknown";
-}
-
-ServeFaultInjector::ServeFaultInjector(std::vector<ServeFault> faults) {
-  faults_.reserve(faults.size());
-  for (ServeFault& f : faults) faults_.push_back({f, false});
-}
-
-int ServeFaultInjector::Fire(ServeFault::Type type, int64_t ordinal,
-                             const char* trigger, double* magnitude) {
-  int fired = 0;
-  for (Armed& armed : faults_) {
-    const ServeFault& f = armed.fault;
-    if (armed.consumed || f.type != type || f.every_n <= 0) continue;
-    const int64_t since_warmup = ordinal - f.after;
-    if (since_warmup <= 0 || since_warmup % f.every_n != 0) continue;
-    *magnitude += f.magnitude;
-    ++fired;
-    if (f.once) armed.consumed = true;
-    log_.push_back(std::string(ServeFaultTypeName(type)) + " at " + trigger +
-                   " " + std::to_string(ordinal));
-  }
-  return fired;
-}
-
-double ServeFaultInjector::OnBatch() {
-  MutexLock lock(mu_);
-  double stall_ms = 0.0;
-  if (Fire(ServeFault::Type::kWorkerStall, ++batches_, "batch", &stall_ms) >
-      0) {
-    ++counts_.stalls;
-  }
-  return stall_ms;
-}
-
-int ServeFaultInjector::OnOffer() {
-  MutexLock lock(mu_);
-  double extra = 0.0;
-  Fire(ServeFault::Type::kQueueBurst, ++offers_, "offer", &extra);
-  counts_.burst_requests += static_cast<int64_t>(extra);
-  return static_cast<int>(extra);
-}
-
-bool ServeFaultInjector::OnSwap() {
-  MutexLock lock(mu_);
-  double unused = 0.0;
-  const bool corrupt =
-      Fire(ServeFault::Type::kSnapshotCorruptOnSwap, ++swaps_, "swap",
-           &unused) > 0;
-  if (corrupt) ++counts_.corrupted_swaps;
-  return corrupt;
-}
-
-double ServeFaultInjector::OnAccept() {
-  MutexLock lock(mu_);
-  ++accepts_;
-  double stall_ms = 0.0;
-  if (Fire(ServeFault::Type::kAcceptStall, accepts_, "accept", &stall_ms) >
-      0) {
-    ++counts_.accept_stalls;
-  }
-  return stall_ms;
-}
-
-NetWriteFault ServeFaultInjector::OnNetWrite() {
-  MutexLock lock(mu_);
-  ++net_writes_;
-  NetWriteFault fault;
-  double unused = 0.0;
-  if (Fire(ServeFault::Type::kConnReset, net_writes_, "net-write", &unused) >
-      0) {
-    fault.reset = true;
-    ++counts_.conn_resets;
-    return fault;  // A reset preempts the write; nothing else can fire.
-  }
-  if (Fire(ServeFault::Type::kTornWrite, net_writes_, "net-write", &unused) >
-      0) {
-    fault.torn = true;
-    ++counts_.torn_writes;
-  }
-  if (Fire(ServeFault::Type::kByteStall, net_writes_, "net-write",
-           &fault.stall_ms) > 0) {
-    ++counts_.byte_stalls;
-  }
-  return fault;
-}
-
-ServeFaultCounts ServeFaultInjector::counts() const {
-  MutexLock lock(mu_);
-  return counts_;
-}
-
-std::vector<std::string> ServeFaultInjector::log() const {
-  MutexLock lock(mu_);
-  return log_;
-}
-
 }  // namespace rgae

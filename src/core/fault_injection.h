@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/tensor/random.h"
-#include "src/util/sync.h"
 
 namespace rgae {
 
@@ -78,135 +77,6 @@ class FaultInjector {
   Rng rng_;
   int faults_fired_ = 0;
   std::vector<std::string> log_;
-};
-
-/// One serve-side fault. Where training faults fire on (phase, epoch),
-/// serve faults fire on deterministic *trigger ordinals*: the injector
-/// counts worker batches, offered requests, and swap attempts, and a fault
-/// fires when its counter schedule matches — so a chaos run reproduces the
-/// same fault sequence for the same workload, with no wall clock or RNG in
-/// the firing decision.
-struct ServeFault {
-  enum class Type {
-    /// Stall the worker for `magnitude` milliseconds before it processes a
-    /// batch — the footprint of a slow disk, a page fault storm, or a noisy
-    /// neighbor. Drives queue growth, and with it admission rejections,
-    /// degraded serving, and deadline shedding.
-    kWorkerStall,
-    /// Amplify one offered request into `magnitude` extra synthetic offers
-    /// of the same node — the footprint of a retry storm or a thundering
-    /// herd. The extras run the full admission path and are counted in the
-    /// engine's offered/shed/degraded totals.
-    kQueueBurst,
-    /// Corrupt the next snapshot handed to `ServeRegistry::Swap` (a NaN
-    /// overwrites one weight) so validation must reject the swap and the
-    /// serving engine must keep answering from the old snapshot.
-    kSnapshotCorruptOnSwap,
-    /// Truncate one response write after a prefix and close the connection
-    /// — the footprint of a peer crashing mid-write or a NAT dropping the
-    /// flow. The client must detect the short frame and recover by
-    /// reconnecting (idempotent queries retry).
-    kTornWrite,
-    /// Close the connection instead of writing the response — the footprint
-    /// of an RST from a dying peer or a middlebox.
-    kConnReset,
-    /// Stall the acceptor for `magnitude` milliseconds before handing a
-    /// connection to the worker pool — the footprint of a SYN-flooded or
-    /// CPU-starved edge. Drives accept-queue growth and connect timeouts.
-    kAcceptStall,
-    /// Stall `magnitude` milliseconds mid-write, between the two halves of
-    /// a response frame — the footprint of a congested uplink trickling
-    /// bytes. Exercises the client's read deadline on a half-delivered
-    /// frame.
-    kByteStall,
-  };
-
-  Type type = Type::kWorkerStall;
-  /// Fire on every `every_n`-th trigger of the matching kind (1 = every
-  /// trigger); non-positive disables the event.
-  int every_n = 1;
-  /// Skip the first `after` triggers before the schedule starts counting
-  /// (warm-up room for tests that need a healthy phase first).
-  int after = 0;
-  /// Stall milliseconds (kWorkerStall) or extra requests (kQueueBurst).
-  double magnitude = 0.0;
-  /// One-shot faults are consumed by their first firing.
-  bool once = false;
-};
-
-/// Human-readable name of a serve fault type ("worker-stall", ...).
-const char* ServeFaultTypeName(ServeFault::Type type);
-
-/// Totals of serve faults fired, exported into the loadtest JSON block.
-struct ServeFaultCounts {
-  int64_t stalls = 0;
-  int64_t burst_requests = 0;
-  int64_t corrupted_swaps = 0;
-  int64_t torn_writes = 0;
-  int64_t conn_resets = 0;
-  int64_t accept_stalls = 0;
-  int64_t byte_stalls = 0;
-};
-
-/// Socket-fault decision for one response-frame write (`OnNetWrite`).
-/// Fields compose: a stall fires before a torn write would truncate.
-struct NetWriteFault {
-  /// Write only a prefix of the frame, then close the connection.
-  bool torn = false;
-  /// Close the connection without writing anything.
-  bool reset = false;
-  /// Milliseconds to stall between the two halves of the write.
-  double stall_ms = 0.0;
-};
-
-/// Thread-safe, deterministic injector of serve-side faults. Attach one via
-/// `serve::ServeOptions::faults`; `ServeEngine` consults `OnBatch`/`OnOffer`
-/// and `ServeRegistry` consults `OnSwap`. With no armed events every hook
-/// is a cheap no-op, so production configurations pass a null injector.
-class ServeFaultInjector {
- public:
-  explicit ServeFaultInjector(std::vector<ServeFault> faults);
-
-  /// Called once per worker batch; returns the stall in milliseconds the
-  /// worker must sleep before processing (0 when no stall fires).
-  double OnBatch();
-  /// Called once per externally offered request; returns how many extra
-  /// synthetic offers of the same request to inject (0 = none).
-  int OnOffer();
-  /// Called once per swap attempt; true means the candidate snapshot must
-  /// be corrupted before validation.
-  bool OnSwap();
-  /// Called once per accepted connection; returns the stall in milliseconds
-  /// the acceptor must sleep before queueing it (0 when no stall fires).
-  double OnAccept();
-  /// Called once per response-frame write; returns the socket fault to
-  /// apply to it (all-defaults when nothing fires).
-  NetWriteFault OnNetWrite();
-
-  ServeFaultCounts counts() const;
-  /// Log lines describing each fired fault, for bench output.
-  std::vector<std::string> log() const;
-
- private:
-  struct Armed {
-    ServeFault fault;
-    bool consumed = false;
-  };
-
-  // Fires every armed, unconsumed event of `type` whose schedule matches
-  // `ordinal`; returns how many fired and accumulates their magnitudes.
-  int Fire(ServeFault::Type type, int64_t ordinal, const char* trigger,
-           double* magnitude) RGAE_REQUIRES(mu_);
-
-  mutable Mutex mu_{"ServeFaultInjector.mu"};
-  std::vector<Armed> faults_ RGAE_GUARDED_BY(mu_);
-  int64_t batches_ RGAE_GUARDED_BY(mu_) = 0;
-  int64_t offers_ RGAE_GUARDED_BY(mu_) = 0;
-  int64_t swaps_ RGAE_GUARDED_BY(mu_) = 0;
-  int64_t accepts_ RGAE_GUARDED_BY(mu_) = 0;
-  int64_t net_writes_ RGAE_GUARDED_BY(mu_) = 0;
-  ServeFaultCounts counts_ RGAE_GUARDED_BY(mu_);
-  std::vector<std::string> log_ RGAE_GUARDED_BY(mu_);
 };
 
 }  // namespace rgae

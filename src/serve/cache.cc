@@ -22,34 +22,9 @@ bool EmbeddingCache::Get(int node, CachedEntry* out) {
   return true;
 }
 
-bool EmbeddingCache::PeekAny(int node, CachedEntry* out, bool* stale) const {
-  MutexLock lock(mu_);
-  auto it = index_.find(node);
-  if (it != index_.end()) {
-    *out = it->second->entry;
-    *stale = false;
-    return true;
-  }
-  auto st = stale_index_.find(node);
-  if (st != stale_index_.end()) {
-    // Refresh the stale row's LRU position: rows still answering degraded
-    // traffic should outlive rows nobody asks for.
-    stale_.splice(stale_.begin(), stale_, st->second);
-    *out = st->second->entry;
-    *stale = true;
-    return true;
-  }
-  return false;
-}
-
 void EmbeddingCache::Put(int node, CachedEntry entry) {
   if (capacity_ <= 0) return;
   MutexLock lock(mu_);
-  auto st = stale_index_.find(node);
-  if (st != stale_index_.end()) {  // The fresh row supersedes its stale copy.
-    stale_.erase(st->second);
-    stale_index_.erase(st);
-  }
   auto it = index_.find(node);
   if (it != index_.end()) {
     it->second->entry = std::move(entry);
@@ -71,49 +46,16 @@ void EmbeddingCache::Invalidate(const std::vector<int>& nodes) {
   for (int node : nodes) {
     auto it = index_.find(node);
     if (it == index_.end()) continue;
-    auto st = stale_index_.find(node);
-    if (st != stale_index_.end()) {  // Keep only the most recent stale copy.
-      stale_.erase(st->second);
-      stale_index_.erase(st);
-    }
-    stale_.push_front(Slot{node, std::move(it->second->entry)});
-    stale_index_[node] = stale_.begin();
     lru_.erase(it->second);
     index_.erase(it);
-    while (static_cast<int>(stale_.size()) > capacity_) {
-      stale_index_.erase(stale_.back().node);
-      stale_.pop_back();
-      ++counters_.stale_evictions;
-      RGAE_COUNT("serve.stale_evictions");
-    }
     ++counters_.invalidations;
     RGAE_COUNT("serve.cache_invalidations");
   }
 }
 
-void EmbeddingCache::Clear() {
-  MutexLock lock(mu_);
-  const int64_t dropped = static_cast<int64_t>(lru_.size());
-  counters_.invalidations += dropped;
-  if (obs::Enabled() && dropped > 0) {
-    obs::MetricsRegistry::Global()
-        .GetCounter("serve.cache_invalidations")
-        ->Inc(dropped);
-  }
-  lru_.clear();
-  index_.clear();
-  stale_.clear();
-  stale_index_.clear();
-}
-
 int EmbeddingCache::size() const {
   MutexLock lock(mu_);
   return static_cast<int>(lru_.size());
-}
-
-int EmbeddingCache::stale_size() const {
-  MutexLock lock(mu_);
-  return static_cast<int>(stale_.size());
 }
 
 CacheCounters EmbeddingCache::counters() const {

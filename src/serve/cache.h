@@ -24,9 +24,6 @@ struct CacheCounters {
   int64_t misses = 0;
   int64_t evictions = 0;
   int64_t invalidations = 0;
-  /// Stale side-store entries dropped by its LRU bound — the signal that a
-  /// mutation stream is outrunning the degraded-serving window.
-  int64_t stale_evictions = 0;
 };
 
 /// Bounded LRU cache of per-node serving results, keyed by node id.
@@ -36,13 +33,6 @@ struct CacheCounters {
 /// the graph, however, is the caller's job — `ServeEngine` performs inserts
 /// and invalidations under its state mutex so a worker racing a graph
 /// mutation can never re-insert a stale row (see DESIGN.md §8.4).
-///
-/// Invalidated entries are not discarded: they move into a stale side-store
-/// (LRU-bounded at the same capacity, evictions counted as
-/// `stale_evictions`) that only the degraded admission path reads via
-/// `PeekAny` — so a long mutation stream can never grow it without limit. A
-/// fresh `Put` supersedes the stale copy, so a recomputed row can never be
-/// shadowed by its predecessor.
 class EmbeddingCache {
  public:
   /// `capacity` <= 0 disables caching (every Get misses, Put is a no-op).
@@ -52,30 +42,18 @@ class EmbeddingCache {
   EmbeddingCache& operator=(const EmbeddingCache&) = delete;
 
   /// Looks up `node`, refreshing its LRU position. Returns true and copies
-  /// the entry into `*out` on a hit. Fresh entries only — never stale.
+  /// the entry into `*out` on a hit.
   bool Get(int node, CachedEntry* out);
 
-  /// Overload probe for degraded serving: fresh store first, then the
-  /// stale side-store (`*stale` reports which answered). Touches neither
-  /// the fresh LRU order nor the hit/miss counters, so saturation probes
-  /// cannot perturb the accounting that ties `hits + misses` to admitted
-  /// queries. A stale answer does refresh its side-store LRU position:
-  /// rows still serving degraded traffic outlive rows nobody asks for.
-  bool PeekAny(int node, CachedEntry* out, bool* stale) const;
-
   /// Inserts or refreshes `node`, evicting the least-recently-used entry
-  /// when over capacity. Drops any stale copy of `node`.
+  /// when over capacity.
   void Put(int node, CachedEntry entry);
 
-  /// Moves the listed nodes into the stale store (missing ids ignored).
+  /// Drops the listed nodes (missing ids are ignored).
   void Invalidate(const std::vector<int>& nodes);
-
-  /// Drops everything, stale store included.
-  void Clear();
 
   int capacity() const { return capacity_; }
   int size() const;
-  int stale_size() const;
   CacheCounters counters() const;
 
  private:
@@ -89,12 +67,6 @@ class EmbeddingCache {
   // Most-recently-used at the front; map values point into the list.
   std::list<Slot> lru_ RGAE_GUARDED_BY(mu_);
   std::map<int, std::list<Slot>::iterator> index_ RGAE_GUARDED_BY(mu_);
-  // Invalidated entries, most-recently-used first; LRU-bounded at
-  // capacity_. Mutable so the logically-const PeekAny can refresh a stale
-  // row's recency under mu_.
-  mutable std::list<Slot> stale_ RGAE_GUARDED_BY(mu_);
-  mutable std::map<int, std::list<Slot>::iterator> stale_index_
-      RGAE_GUARDED_BY(mu_);
   CacheCounters counters_ RGAE_GUARDED_BY(mu_);
 };
 

@@ -1,7 +1,6 @@
 #include "src/serve/engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "src/obs/trace.h"
@@ -27,29 +26,12 @@ double ElapsedUs(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-const char* QueryStatusName(QueryStatus status) {
-  switch (status) {
-    case QueryStatus::kOk:
-      return "ok";
-    case QueryStatus::kDegraded:
-      return "degraded";
-    case QueryStatus::kShedOverload:
-      return "shed-overload";
-    case QueryStatus::kShedDeadline:
-      return "shed-deadline";
-    case QueryStatus::kShedShutdown:
-      return "shed-shutdown";
-  }
-  return "unknown";
-}
-
 ServeEngine::ServeEngine(ModelSnapshot snapshot, const ServeOptions& options)
     : options_(options),
       num_nodes_(snapshot.num_nodes()),
       has_head_(snapshot.has_head()),
       forward_(std::move(snapshot)),
-      cache_(options.cache_capacity),
-      admission_(options.admission) {
+      cache_(options.cache_capacity) {
   const int workers = std::max(1, options_.num_workers);
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
@@ -58,119 +40,37 @@ ServeEngine::ServeEngine(ModelSnapshot snapshot, const ServeOptions& options)
 }
 
 ServeEngine::~ServeEngine() {
-  // Stop admissions first, then either drain or shed the backlog. Workers
-  // exit only once the queue is empty, so teardown observes every request.
-  std::vector<Request> shed;
+  // Workers exit only once the queue is empty, so every accepted query is
+  // answered before teardown completes.
   {
     MutexLock lock(queue_mu_);
     stop_ = true;
-    if (GlobalStopRequested()) {
-      // Cooperative stop (SIGINT/SIGTERM via bench_common): shed the
-      // backlog instead of computing it, so teardown is prompt but every
-      // promise still resolves and every request is accounted for.
-      while (!queue_.empty()) {
-        shed.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-  }
-  if (!shed.empty()) {
-    admission_.CountShed(ShedReason::kShutdown,
-                         static_cast<int64_t>(shed.size()));
-    for (Request& request : shed) {
-      ResolveShed(&request, QueryStatus::kShedShutdown);
-    }
   }
   queue_cv_.NotifyAll();
   for (std::thread& w : workers_) w.join();
 }
 
-void ServeEngine::ResolveShed(Request* request, QueryStatus status) {
-  QueryResult result;
-  result.node = request->node;
-  result.status = status;
-  result.serve_us = ElapsedUs(request->submitted);
-  request->promise.set_value(std::move(result));
-}
-
-std::future<QueryResult> ServeEngine::Submit(int node, Deadline deadline) {
-  if (options_.faults != nullptr) {
-    // A queue-burst fault amplifies this offer into synthetic extras that
-    // run the full admission path; their futures are intentionally dropped
-    // (the promises still resolve, and the dispositions are counted).
-    const int extra = options_.faults->OnOffer();
-    for (int i = 0; i < extra; ++i) OfferOne(node, deadline);
-  }
-  return OfferOne(node, deadline);
-}
-
-std::future<QueryResult> ServeEngine::OfferOne(int node, Deadline deadline) {
-  assert(node >= 0 && node < num_nodes_);
-  RGAE_COUNT("serve.queries");
-  queries_.fetch_add(1, std::memory_order_relaxed);
-
+std::future<QueryResult> ServeEngine::Query(int node) {
   Request request;
   request.node = node;
-  request.submitted = Clock::now();  // Raw timing: admission timestamp.
-  if (deadline.unlimited() && options_.admission.default_deadline_s > 0.0) {
-    deadline = Deadline::After(options_.admission.default_deadline_s);
-  }
-  request.deadline = deadline;
   std::future<QueryResult> result = request.promise.get_future();
-
-  AdmissionVerdict verdict = AdmissionVerdict::kAdmitted;
-  bool shutting_down = false;
+  if (node < 0 || node >= num_nodes_) {
+    // Checked in every build type: an out-of-range id would index past the
+    // forward engine's rows on a worker thread.
+    QueryResult empty;
+    empty.node = node;
+    request.promise.set_value(std::move(empty));
+    return result;
+  }
+  RGAE_COUNT("serve.queries");
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  request.submitted = Clock::now();  // Raw timing: start of serve_us.
   {
     MutexLock lock(queue_mu_);
-    if (stop_) {
-      shutting_down = true;
-    } else {
-      verdict = admission_.Offer(queue_.size(), request.submitted);
-      if (verdict == AdmissionVerdict::kAdmitted) {
-        queue_.push_back(std::move(request));  // Bounded by admission.
-      }
-    }
+    queue_.push_back(std::move(request));
   }
-  if (shutting_down) {
-    admission_.CountOffered();
-    admission_.CountShed(ShedReason::kShutdown);
-    ResolveShed(&request, QueryStatus::kShedShutdown);
-    return result;
-  }
-  if (verdict == AdmissionVerdict::kAdmitted) {
-    queue_cv_.NotifyOne();
-    return result;
-  }
-
-  // Turned away from the fresh queue: degrade to a cached (possibly stale)
-  // row when allowed and available, else reject. Probing outside queue_mu_
-  // keeps the admission decision O(1) under the lock.
-  if (options_.admission.allow_degraded) {
-    CachedEntry entry;
-    bool stale = false;
-    if (cache_.PeekAny(node, &entry, &stale)) {
-      admission_.CountDegraded();
-      QueryResult degraded;
-      degraded.node = node;
-      degraded.embedding = std::move(entry.embedding);
-      degraded.assignment = std::move(entry.assignment);
-      degraded.cache_hit = true;
-      degraded.stale = stale;
-      degraded.status = QueryStatus::kDegraded;
-      degraded.serve_us = ElapsedUs(request.submitted);
-      request.promise.set_value(std::move(degraded));
-      return result;
-    }
-  }
-  admission_.CountShed(verdict == AdmissionVerdict::kQueueFull
-                           ? ShedReason::kQueueFull
-                           : ShedReason::kRateLimited);
-  ResolveShed(&request, QueryStatus::kShedOverload);
+  queue_cv_.NotifyOne();
   return result;
-}
-
-std::future<QueryResult> ServeEngine::Query(int node) {
-  return Submit(node, Deadline::Unlimited());
 }
 
 QueryResult ServeEngine::QueryBlocking(int node) { return Query(node).get(); }
@@ -188,17 +88,11 @@ AttributedGraph ServeEngine::CurrentGraph() const {
   return forward_.graph();
 }
 
-ModelSnapshot ServeEngine::SnapshotCopy() const {
-  MutexLock lock(state_mu_);
-  return forward_.snapshot();
-}
-
 ServeStats ServeEngine::stats() const {
   ServeStats s;
   s.queries = queries_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.cache = cache_.counters();
-  s.admission = admission_.stats();
   return s;
 }
 
@@ -219,23 +113,6 @@ void ServeEngine::WorkerLoop() {
         queue_.pop_front();
       }
     }
-    if (GlobalStopRequested()) {
-      // Cooperative stop while requests are still queued: shed instead of
-      // computing, so a signal interrupts a saturated engine promptly.
-      admission_.CountShed(ShedReason::kShutdown,
-                           static_cast<int64_t>(batch.size()));
-      for (Request& request : batch) {
-        ResolveShed(&request, QueryStatus::kShedShutdown);
-      }
-      continue;
-    }
-    if (options_.faults != nullptr) {
-      const double stall_ms = options_.faults->OnBatch();
-      if (stall_ms > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(stall_ms));
-      }
-    }
     ProcessBatch(&batch);
   }
 }
@@ -245,32 +122,11 @@ void ServeEngine::ProcessBatch(std::vector<Request>* batch) {
   RGAE_COUNT("serve.batches");
   batches_.fetch_add(1, std::memory_order_relaxed);
 
-  // Deadline shedding happens before any execution: an expired request
-  // costs a check, never a forward row.
-  std::vector<Request> expired;
-  std::vector<Request> live;
-  live.reserve(batch->size());
-  for (Request& request : *batch) {
-    (request.deadline.expired() ? expired : live).push_back(
-        std::move(request));
-  }
-  // Dispositions are counted before the promises resolve, so a caller that
-  // waited on every future observes fully settled stats.
-  if (!expired.empty()) {
-    admission_.CountShed(ShedReason::kDeadline,
-                         static_cast<int64_t>(expired.size()));
-    for (Request& request : expired) {
-      ResolveShed(&request, QueryStatus::kShedDeadline);
-    }
-  }
-  if (live.empty()) return;
-  admission_.CountAdmitted(static_cast<int64_t>(live.size()));
-
   // Probe the cache without the state mutex; hits resolve immediately.
   std::vector<size_t> miss_index;
   std::vector<int> miss_nodes;
-  for (size_t i = 0; i < live.size(); ++i) {
-    Request& request = live[i];
+  for (size_t i = 0; i < batch->size(); ++i) {
+    Request& request = (*batch)[i];
     CachedEntry entry;
     if (cache_.Get(request.node, &entry)) {
       QueryResult result;
@@ -303,7 +159,7 @@ void ServeEngine::ProcessBatch(std::vector<Request>* batch) {
     }
   }
   for (size_t m = 0; m < miss_index.size(); ++m) {
-    Request& request = live[miss_index[m]];
+    Request& request = (*batch)[miss_index[m]];
     QueryResult result;
     result.node = request.node;
     result.embedding = RowVector(z, static_cast<int>(m));

@@ -9,10 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/deadline.h"
-#include "src/core/fault_injection.h"
 #include "src/graph/graph.h"
-#include "src/serve/admission.h"
 #include "src/serve/cache.h"
 #include "src/serve/forward.h"
 #include "src/serve/snapshot.h"
@@ -28,54 +25,19 @@ struct ServeOptions {
   int max_batch = 32;
   /// LRU embedding-cache capacity in nodes; <= 0 disables caching.
   int cache_capacity = 1024;
-  /// Overload policy: queue bound, rate limiter, degraded mode, default
-  /// per-request deadline (DESIGN.md §8.6).
-  AdmissionOptions admission;
-  /// Serve-side fault injector (chaos tests and `bench_loadtest`); not
-  /// owned, may be null, must outlive the engine.
-  ServeFaultInjector* faults = nullptr;
 };
-
-/// Final disposition of one submitted query.
-enum class QueryStatus {
-  /// Served by a fresh forward compute (or a coherent cache hit).
-  kOk = 0,
-  /// Served a cached — possibly stale — row because admission turned the
-  /// request away from the fresh-compute queue.
-  kDegraded,
-  /// Rejected at admission (queue full or rate limited) with no cached
-  /// fallback. The request was never enqueued.
-  kShedOverload,
-  /// Admitted, but its deadline expired before a worker reached it; shed
-  /// without executing.
-  kShedDeadline,
-  /// Shed during engine teardown under a requested global stop.
-  kShedShutdown,
-};
-
-/// Human-readable name of a query status ("ok", "degraded", ...).
-const char* QueryStatusName(QueryStatus status);
 
 /// Answer for one node query.
 struct QueryResult {
   int node = 0;
-  /// Empty when the request was shed (see `status`).
+  /// Empty when `node` was out of range.
   std::vector<double> embedding;
   /// Soft assignment under the snapshot head; empty for head-less models.
   std::vector<double> assignment;
   /// True when the answer came straight from the cache.
   bool cache_hit = false;
-  /// True when a degraded answer came from the stale side-store (the row
-  /// was invalidated by a mutation and not yet recomputed).
-  bool stale = false;
-  QueryStatus status = QueryStatus::kOk;
   /// Engine-side latency: submission to response, microseconds.
   double serve_us = 0.0;
-
-  /// The request was answered with data (fresh or degraded).
-  bool ok() const {
-    return status == QueryStatus::kOk || status == QueryStatus::kDegraded;
-  }
 };
 
 /// Aggregate serving counters (monotone since construction).
@@ -83,31 +45,17 @@ struct ServeStats {
   int64_t queries = 0;
   int64_t batches = 0;
   CacheCounters cache;
-  AdmissionStats admission;
 };
 
 /// In-process query server over a frozen snapshot.
 ///
-/// Queries enqueue onto a bounded shared queue; a fixed pool of workers
-/// drains it, coalescing up to `max_batch` pending queries per tick into
-/// one row-restricted forward batch. Results flow back through futures. An
-/// LRU cache short-circuits repeat queries; `MutateGraph` applies an
+/// Queries enqueue onto a shared queue; a fixed pool of workers drains it,
+/// coalescing up to `max_batch` pending queries per tick into one
+/// row-restricted forward batch. Results flow back through futures. An LRU
+/// cache short-circuits repeat queries; `MutateGraph` applies an
 /// incremental forward update and invalidates exactly the affected cache
-/// entries.
-///
-/// Overload behavior (DESIGN.md §8.6): every submission passes admission
-/// control. A request the bounded queue or the token bucket turns away is
-/// served a cached/stale row (degraded) when one exists, else rejected
-/// immediately — producers are never blocked on a saturated queue. Admitted
-/// requests carry a deadline; a worker sheds expired requests before
-/// executing them. Every future resolves exactly once, whatever the path —
-/// zero lost requests is an accounting invariant (`AdmissionStats`).
-///
-/// Shutdown: the destructor stops admissions, then drains the queue — or,
-/// when the process-wide cooperative stop flag (`GlobalStopRequested`, set
-/// by the bench SIGINT/SIGTERM handlers) is raised, sheds the backlog as
-/// `kShedShutdown` instead of computing it — and only then joins the
-/// workers. Either way teardown cannot deadlock and no promise is dropped.
+/// entries. The queue is unbounded: callers bound their own outstanding
+/// queries.
 ///
 /// Locking protocol (DESIGN.md §8.4): `state_mu_` serializes every use of
 /// the forward engine — batch computes, cache *inserts*, and mutations with
@@ -118,21 +66,15 @@ struct ServeStats {
 class ServeEngine {
  public:
   explicit ServeEngine(ModelSnapshot snapshot, const ServeOptions& options = {});
-  /// Drains (or, under a requested global stop, sheds) pending queries,
-  /// then stops the workers.
+  /// Drains pending queries, then stops the workers.
   ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Submits a query for `node`'s embedding (and assignment when the
-  /// snapshot has a head) under `deadline`. Always returns a valid future
-  /// that resolves exactly once; overloaded or expired requests resolve
-  /// with a shed/degraded status instead of blocking the caller. An
-  /// unlimited `deadline` picks up `admission.default_deadline_s`.
-  std::future<QueryResult> Submit(int node, Deadline deadline);
-
-  /// `Submit` with the engine's default deadline.
+  /// Enqueues a query for `node`'s embedding (and assignment when the
+  /// snapshot has a head). An out-of-range `node` is answered at once with
+  /// an empty embedding and never reaches the cache or the forward engine.
   std::future<QueryResult> Query(int node);
   /// Convenience: enqueue and wait.
   QueryResult QueryBlocking(int node);
@@ -140,16 +82,11 @@ class ServeEngine {
   /// Applies a graph mutation: diffs `next` against the current serving
   /// graph, incrementally recomputes the affected 2-hop neighborhood, and
   /// invalidates the affected cache entries. Returns the invalidated node
-  /// ids (sorted). Prefer `ServeRegistry::MutateGraph` when the engine is
-  /// registry-managed, so mutations cannot land on a retired engine.
+  /// ids (sorted).
   std::vector<int> MutateGraph(const AttributedGraph& next);
 
   /// Copy of the current serving graph (mutation base for callers).
   AttributedGraph CurrentGraph() const;
-
-  /// Copy of the frozen snapshot with the *current* serving graph — the
-  /// natural base for building a hot-swap candidate.
-  ModelSnapshot SnapshotCopy() const;
 
   ServeStats stats() const;
   int num_nodes() const { return num_nodes_; }
@@ -160,15 +97,9 @@ class ServeEngine {
 
   struct Request {
     int node = 0;
-    Deadline deadline;
     Clock::time_point submitted;
     std::promise<QueryResult> promise;
   };
-
-  // One admission-checked offer; burst faults fan `Submit` into several.
-  std::future<QueryResult> OfferOne(int node, Deadline deadline);
-  // Resolves `request` with an empty shed result of `status`.
-  static void ResolveShed(Request* request, QueryStatus status);
 
   void WorkerLoop();
   void ProcessBatch(std::vector<Request>* batch);
@@ -186,7 +117,6 @@ class ServeEngine {
   // Internally synchronized; inserts/invalidations additionally run under
   // state_mu_ for graph coherence (probes do not).
   EmbeddingCache cache_;
-  AdmissionController admission_;
 
   Mutex queue_mu_{"ServeEngine.queue"};
   CondVar queue_cv_;

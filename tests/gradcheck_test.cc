@@ -197,7 +197,7 @@ AttributedGraph GradTestGraph() {
   CitationLikeOptions o;
   o.num_nodes = 40;
   o.num_clusters = 3;
-  o.feature_dim = 25;
+  o.feature_dim = 30;
   o.topic_words = 10;
   o.intra_degree = 4.0;
   o.inter_degree = 0.5;

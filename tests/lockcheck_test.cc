@@ -290,11 +290,10 @@ TEST_F(LockCheckTest, ConcurrentTrackingIsRaceFreeAndSilent) {
   EXPECT_GE(stats.acquisitions, int64_t{2} * kThreads * kIters);
 }
 
-// End-to-end: the serve engine's full locking protocol (queue mutex,
-// admission, token bucket, state mutex, cache) runs lockcheck-clean under
-// concurrent queries and a mutation. Pins the protocol the class comments
-// promise: state_mu_ and queue_mu_ stay unordered, everything else nests
-// consistently.
+// End-to-end: the serve engine's full locking protocol (queue mutex, state
+// mutex, cache) runs lockcheck-clean under concurrent queries and a
+// mutation. Pins the protocol the class comments promise: state_mu_ and
+// queue_mu_ stay unordered, everything else nests consistently.
 TEST_F(LockCheckTest, ServeEngineProtocolIsLockcheckClean) {
   CitationLikeOptions o;
   o.num_nodes = 40;
@@ -317,7 +316,6 @@ TEST_F(LockCheckTest, ServeEngineProtocolIsLockcheckClean) {
   options.num_workers = 3;
   options.max_batch = 4;
   options.cache_capacity = 16;
-  options.admission.queue_capacity = 8;
   {
     serve::ServeEngine engine(model->ExportSnapshot(), options);
     std::vector<std::future<serve::QueryResult>> pending;
