@@ -263,6 +263,9 @@ void RunIsaSweep(rgae_bench::BenchObs* obs) {
        [&] { benchmark::DoNotOptimize(filter.Multiply(x)); }},
       {"student_t", 8,
        [&] { benchmark::DoNotOptimize(StudentTAssignments(z, centers)); }},
+      // Sum has no vector tier, so this row times the same scalar loop
+      // under each ISA; it stays because the committed micro_ops baseline
+      // records it.
       {"reduce_sum", 16, [&] { benchmark::DoNotOptimize(big.Sum()); }},
       {"adam_step", 16, [&] { adam.Step(); }},
       {"inner_product_bce", 4,

@@ -49,8 +49,9 @@ SCHEMA = "rgae.bench.v1"
 JOURNAL_SCHEMA = "rgae.journal.v1"
 
 # Every ISA the kernel dispatcher can select (src/kernels/dispatch.h); the
-# `kernel_isa` field of every document must name one of these.
-KERNEL_ISAS = ["scalar", "avx2", "avx512"]
+# `kernel_isa` field of every document must name one of these, so a
+# document that names a removed tier fails.
+KERNEL_ISAS = ["scalar", "avx2"]
 
 TRIAL_REQUIRED = [
     "model", "dataset", "variant", "trial", "seed", "seconds", "scores",

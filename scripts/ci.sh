@@ -21,16 +21,11 @@ step "build"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 step "ctest (unit + schema tests, auto-selected kernel ISA)"
-# Includes the bench-JSON and profile schema checks and the advisory
-# comparison against bench/baselines/*.json (bench_baseline).
+# Includes the bench-JSON and profile schema checks, the advisory
+# comparison against bench/baselines/*.json (bench_baseline), and
+# rgae_tests_scalar_kernel, which re-runs the unit suite with every kernel
+# stub pinned to the scalar reference tier (DESIGN.md §9).
 (cd "${BUILD_DIR}" && ctest --output-on-failure -LE lint -j "${JOBS}")
-
-step "ctest under RGAE_KERNEL=scalar (kernel reference tier)"
-# The full suite re-runs with every kernel stub pinned to its scalar
-# reference implementation: golden numbers and behaviour must not depend on
-# which SIMD tier the host machine happens to support (DESIGN.md §9).
-(cd "${BUILD_DIR}" && RGAE_KERNEL=scalar \
-  ctest --output-on-failure -LE lint -j "${JOBS}")
 
 step "ctest -L lint (registered lint cases)"
 # rgae_lint and its self-test, plus clang-tidy and cppcheck when installed.

@@ -136,7 +136,7 @@ def extract_metrics(doc):
         # scalar reference. Info-kind (never gated) — the achievable
         # speedup is a property of the host CPU, not of the code — and
         # keyed "best" rather than per-ISA so a baseline recorded on an
-        # AVX-512 box still has coverage on an SSE-only one.
+        # AVX2 box still has coverage on a scalar-only one.
         sweep = doc.get("kernel_isa_timings") or {}
         isas = sweep.get("isas") or []
         for kname, entry in sorted((sweep.get("kernels") or {}).items()):

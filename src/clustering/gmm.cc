@@ -48,24 +48,35 @@ Matrix LogJoint(const GmmModel& m, const Matrix& data) {
   return lj;
 }
 
+// Log-sum-exp of one row of k log joints, shifted by the row max. Leaves
+// exp(row[c] - max) in the row and their sum in *sum, which
+// Responsibilities normalizes by. When the max is not finite (every log
+// joint -inf after underflow) it returns the max unchanged and leaves the
+// row as it was, rather than form -inf - (-inf) = NaN.
+double RowLogSumExp(double* row, int k, double* sum) {
+  double row_max = row[0];
+  for (int c = 1; c < k; ++c) row_max = std::max(row_max, row[c]);
+  if (!std::isfinite(row_max)) return row_max;
+  double s = 0.0;
+  for (int c = 0; c < k; ++c) {
+    row[c] = std::exp(row[c] - row_max);
+    s += row[c];
+  }
+  *sum = s;
+  return row_max + std::log(s);
+}
+
 }  // namespace
 
 Matrix GmmModel::Responsibilities(const Matrix& data) const {
   Matrix lj = LogJoint(*this, data);
   for (int i = 0; i < lj.rows(); ++i) {
-    double row_max = lj(i, 0);
-    for (int c = 1; c < lj.cols(); ++c) row_max = std::max(row_max, lj(i, c));
+    double sum = 0.0;
     // A point can be impossibly far from every component (all log joints
-    // -inf after underflow); fall back to a uniform row rather than emit
-    // NaN from -inf - (-inf) below.
-    if (!std::isfinite(row_max)) {
+    // -inf after underflow); it gets a uniform row.
+    if (!std::isfinite(RowLogSumExp(lj.row(i), lj.cols(), &sum))) {
       for (int c = 0; c < lj.cols(); ++c) lj(i, c) = 1.0 / lj.cols();
       continue;
-    }
-    double sum = 0.0;
-    for (int c = 0; c < lj.cols(); ++c) {
-      lj(i, c) = std::exp(lj(i, c) - row_max);
-      sum += lj(i, c);
     }
     for (int c = 0; c < lj.cols(); ++c) lj(i, c) /= sum;
   }
@@ -73,14 +84,13 @@ Matrix GmmModel::Responsibilities(const Matrix& data) const {
 }
 
 double GmmModel::MeanLogLikelihood(const Matrix& data) const {
-  const Matrix lj = LogJoint(*this, data);
+  Matrix lj = LogJoint(*this, data);
   double total = 0.0;
   for (int i = 0; i < lj.rows(); ++i) {
-    double row_max = lj(i, 0);
-    for (int c = 1; c < lj.cols(); ++c) row_max = std::max(row_max, lj(i, c));
     double sum = 0.0;
-    for (int c = 0; c < lj.cols(); ++c) sum += std::exp(lj(i, c) - row_max);
-    total += row_max + std::log(sum);
+    // -inf for a point impossibly far from every component, so the mean
+    // is -inf and EM stops, instead of NaN.
+    total += RowLogSumExp(lj.row(i), lj.cols(), &sum);
   }
   return data.rows() > 0 ? total / data.rows() : 0.0;
 }

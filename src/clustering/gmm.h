@@ -24,7 +24,9 @@ struct GmmModel {
   /// Posterior responsibilities p(k | x_i); rows sum to 1. `data` is n x d.
   Matrix Responsibilities(const Matrix& data) const;
 
-  /// Mean log-likelihood of the data under the mixture.
+  /// Mean log-likelihood of the data under the mixture: -inf, not NaN,
+  /// when a point is so far from every component that all its log joints
+  /// underflow to -inf.
   double MeanLogLikelihood(const Matrix& data) const;
 
   /// Hard assignment = argmax responsibility per row.

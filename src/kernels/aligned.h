@@ -9,10 +9,9 @@
 namespace rgae {
 namespace kernels {
 
-/// Alignment of every dense numeric buffer, in bytes. One AVX-512 register
-/// (and one cache line) is 64 bytes, so a buffer starting on this boundary
-/// lets the flat kernels (reductions, Adam) use aligned vector loads from
-/// element 0 without per-call checks.
+/// Alignment of every dense numeric buffer, in bytes: one cache line. No
+/// kernel needs it (the AVX2 tier loads unaligned), but every Matrix
+/// allocation and memstat's byte counts follow from it.
 inline constexpr size_t kBufferAlignment = 64;
 
 /// The number of bytes actually allocated for `entries` doubles:

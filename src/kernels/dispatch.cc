@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <cstdlib>
 
-#if defined(__x86_64__) || defined(__i386__)
+#if defined(RGAE_KERNELS_HAVE_AVX2)
 #include <cpuid.h>
 #endif
 
@@ -13,11 +13,10 @@ namespace kernels {
 
 namespace {
 
-#if defined(__x86_64__) || defined(__i386__)
+#if defined(RGAE_KERNELS_HAVE_AVX2)
 
-// XCR0 bits the OS must have enabled for the corresponding register state.
-constexpr uint64_t kXcr0Ymm = 0x6;           // XMM + YMM.
-constexpr uint64_t kXcr0Zmm = 0xe0 | 0x6;    // + opmask, ZMM0-15, ZMM16-31.
+// XCR0 bits the OS must have enabled for YMM register state (XMM + YMM).
+constexpr uint64_t kXcr0Ymm = 0x6;
 
 uint64_t ReadXcr0() {
   uint32_t eax = 0, edx = 0;
@@ -26,41 +25,17 @@ uint64_t ReadXcr0() {
   return (static_cast<uint64_t>(edx) << 32) | eax;
 }
 
-/// CPUID + XCR0 probe, independent of what this build compiled.
-Isa DetectCpuIsa() {
+/// CPUID + XCR0 probe: AVX2 in the CPU and YMM state enabled by the OS.
+bool CpuHasAvx2() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return Isa::kScalar;
-  const bool osxsave = (ecx & bit_OSXSAVE) != 0;
-  if (!osxsave) return Isa::kScalar;
-  const uint64_t xcr0 = ReadXcr0();
-  if ((xcr0 & kXcr0Ymm) != kXcr0Ymm) return Isa::kScalar;
-  unsigned eax7 = 0, ebx7 = 0, ecx7 = 0, edx7 = 0;
-  if (__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7) == 0) {
-    return Isa::kScalar;
-  }
-  const bool avx2 = (ebx7 & bit_AVX2) != 0;
-  const bool avx512f = (ebx7 & bit_AVX512F) != 0;
-  if (avx512f && (xcr0 & kXcr0Zmm) == kXcr0Zmm) return Isa::kAvx512;
-  if (avx2) return Isa::kAvx2;
-  return Isa::kScalar;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_OSXSAVE) == 0) return false;
+  if ((ReadXcr0() & kXcr0Ymm) != kXcr0Ymm) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_AVX2) != 0;
 }
 
-#else  // Non-x86: only the scalar tier exists.
-
-Isa DetectCpuIsa() { return Isa::kScalar; }
-
 #endif
-
-/// What this *build* carries, set by the CMake per-file arch-flag guards.
-Isa BestCompiledIsa() {
-#if defined(RGAE_KERNELS_HAVE_AVX512)
-  return Isa::kAvx512;
-#elif defined(RGAE_KERNELS_HAVE_AVX2)
-  return Isa::kAvx2;
-#else
-  return Isa::kScalar;
-#endif
-}
 
 Isa ClampToSupported(Isa isa) {
   const Isa best = BestSupportedIsa();
@@ -86,47 +61,31 @@ std::atomic<Isa>& SelectedIsaCell() {
 }  // namespace
 
 const char* IsaName(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return "scalar";
-    case Isa::kAvx2:
-      return "avx2";
-    case Isa::kAvx512:
-      return "avx512";
-  }
-  return "scalar";
+  return isa == Isa::kAvx2 ? "avx2" : "scalar";
 }
 
 bool IsaFromName(const std::string& name, Isa* out) {
-  if (name == "scalar") {
-    *out = Isa::kScalar;
-    return true;
-  }
-  if (name == "avx2") {
-    *out = Isa::kAvx2;
-    return true;
-  }
-  if (name == "avx512") {
-    *out = Isa::kAvx512;
-    return true;
+  for (const Isa isa : {Isa::kScalar, Isa::kAvx2}) {
+    if (name == IsaName(isa)) {
+      *out = isa;
+      return true;
+    }
   }
   return false;
 }
 
 Isa BestSupportedIsa() {
-  static const Isa best = [] {
-    const Isa cpu = DetectCpuIsa();
-    const Isa compiled = BestCompiledIsa();
-    return IsaLevel(cpu) <= IsaLevel(compiled) ? cpu : compiled;
-  }();
+#if defined(RGAE_KERNELS_HAVE_AVX2)
+  static const Isa best = CpuHasAvx2() ? Isa::kAvx2 : Isa::kScalar;
   return best;
+#else
+  return Isa::kScalar;
+#endif
 }
 
 std::vector<Isa> SupportedIsas() {
-  const int best = IsaLevel(BestSupportedIsa());
   std::vector<Isa> out{Isa::kScalar};
-  if (best >= IsaLevel(Isa::kAvx2)) out.push_back(Isa::kAvx2);
-  if (best >= IsaLevel(Isa::kAvx512)) out.push_back(Isa::kAvx512);
+  if (BestSupportedIsa() == Isa::kAvx2) out.push_back(Isa::kAvx2);
   return out;
 }
 

@@ -1,6 +1,6 @@
-// Stub tables + dispatch wrappers. One KernelStub per op; tiers the build
-// did not compile stay null and KernelStub::Get falls through to the next
-// lower tier (DESIGN.md §9).
+// Stub tables + dispatch wrappers. One KernelStub per dispatched op; when
+// the build lacks the AVX2 tier its slot stays null and KernelStub::Get
+// falls back to scalar (DESIGN.md §9).
 
 #include "src/kernels/kernels.h"
 
@@ -15,14 +15,8 @@ namespace {
 #define RGAE_AVX2_FN(op) nullptr
 #endif
 
-#if defined(RGAE_KERNELS_HAVE_AVX512)
-#define RGAE_AVX512_FN(op) &avx512::op
-#else
-#define RGAE_AVX512_FN(op) nullptr
-#endif
-
 #define RGAE_KERNEL_STUB(Fn, op) \
-  constexpr KernelStub<Fn> k##op##Stub { &scalar::op, RGAE_AVX2_FN(op), RGAE_AVX512_FN(op) }
+  constexpr KernelStub<Fn> k##op##Stub { &scalar::op, RGAE_AVX2_FN(op) }
 
 RGAE_KERNEL_STUB(MatMulFn, MatMul);
 RGAE_KERNEL_STUB(MatMulRowFn, MatMulRow);
@@ -31,18 +25,12 @@ RGAE_KERNEL_STUB(MatMulTransBFn, MatMulTransB);
 RGAE_KERNEL_STUB(SpmmRowFn, SpmmRow);
 RGAE_KERNEL_STUB(SpmmFn, Spmm);
 RGAE_KERNEL_STUB(SpmmScatterFn, SpmmScatter);
-RGAE_KERNEL_STUB(SumFn, Sum);
-RGAE_KERNEL_STUB(SumFn, SumSquares);
-RGAE_KERNEL_STUB(DotFn, Dot);
 RGAE_KERNEL_STUB(StudentTFn, StudentT);
 RGAE_KERNEL_STUB(GaussianFn, Gaussian);
 RGAE_KERNEL_STUB(AdamStepFn, AdamStep);
-RGAE_KERNEL_STUB(BceSweepFn, BceSweep);
-RGAE_KERNEL_STUB(TopTwoFn, TopTwo);
 
 #undef RGAE_KERNEL_STUB
 #undef RGAE_AVX2_FN
-#undef RGAE_AVX512_FN
 
 }  // namespace
 
@@ -81,16 +69,6 @@ void SpmmScatter(const int* row_ptr, const int* col_idx, const double* vals,
   kSpmmScatterStub.Get()(row_ptr, col_idx, vals, rows, x, x_cols, out);
 }
 
-double Sum(const double* p, int64_t n) { return kSumStub.Get()(p, n); }
-
-double SumSquares(const double* p, int64_t n) {
-  return kSumSquaresStub.Get()(p, n);
-}
-
-double Dot(const double* a, const double* b, int64_t n) {
-  return kDotStub.Get()(a, b, n);
-}
-
 void StudentT(const double* z, int n, int d, const double* centers, int k,
               double* p) {
   kStudentTStub.Get()(z, n, d, centers, k, p);
@@ -106,14 +84,6 @@ void AdamStep(double* value, const double* grad, double* m1, double* m2,
               double bc1, double bc2) {
   kAdamStepStub.Get()(value, grad, m1, m2, n, beta1, beta2, lr, eps, bc1,
                       bc2);
-}
-
-double BceSweep(const double* s, int64_t n) {
-  return kBceSweepStub.Get()(s, n);
-}
-
-void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2) {
-  kTopTwoStub.Get()(p, n, k, lambda1, lambda2);
 }
 
 }  // namespace kernels

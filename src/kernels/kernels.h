@@ -9,8 +9,9 @@ namespace rgae {
 namespace kernels {
 
 /// The SIMD kernel library: every hot inner loop of the tensor, graph,
-/// clustering, optimizer, loss, and Ξ layers behind a KernelStub with a
-/// scalar reference plus AVX2/AVX-512 variants (DESIGN.md §9).
+/// clustering, optimizer and loss layers, as a KernelStub with a scalar
+/// reference and an AVX2 variant, or as one plain scalar function where
+/// no workload needs a vector body (DESIGN.md §9).
 ///
 /// Conventions shared by every op:
 ///  - Raw pointers + dimensions only; no Matrix/CsrMatrix dependency, so
@@ -20,21 +21,15 @@ namespace kernels {
 ///    kernels that overwrite every entry (`MatMulTransB`, softmax,
 ///    top-two, `InnerProductBce`'s sigma) need no zeroing.
 ///  - Determinism contract: a given (op, ISA, shape) always performs
-///    floating-point operations in one fixed order — repeated calls are
-///    bit-identical. Every op except the flat reductions is additionally
-///    bit-identical *across* ISAs: the vector variants preserve the scalar
-///    per-element operation order (they vectorize across independent
-///    output elements, never across a summation chain, and never use
-///    FMA), and the transcendental sweeps (`BceSweep`, the decoder loss)
-///    run the same scalar libm code under every ISA. `Sum`/`SumSquares`/
-///    `Dot` are true horizontal reductions, so their vector variants use
-///    fixed lane-blocked accumulators instead: deterministic per ISA,
-///    within a small documented ULP bound of scalar (see
-///    tests/kernels_test.cc).
-///  - `Sum`/`SumSquares`/`Dot`/`AdamStep` AVX-512 variants use aligned
-///    loads from element 0: their buffers must start on a 64-byte
-///    boundary, which rgae::Matrix storage guarantees (aligned.h).
-///    All other ops tolerate arbitrary alignment (unaligned loads).
+///    floating-point operations in one fixed order, so repeated calls are
+///    bit-identical, and every op is bit-identical *across* ISAs: the AVX2
+///    variants preserve the scalar per-element operation order (they
+///    vectorize across independent output elements, never across a
+///    summation chain, and never use FMA), and every transcendental (the
+///    decoder's exp/log1p, the Gaussian softmax's exp) is the same scalar
+///    libm call under either tier.
+///  - No kernel needs aligned loads: the AVX2 tier loads and stores
+///    unaligned throughout, so any buffer alignment works.
 
 // ---------------------------------------------------------------------------
 // Op signatures.
@@ -75,10 +70,6 @@ using SpmmScatterFn = void (*)(const int* row_ptr, const int* col_idx,
                                const double* vals, int rows, const double* x,
                                int x_cols, double* out);
 
-/// Flat reductions over `n` entries.
-using SumFn = double (*)(const double* p, int64_t n);
-using DotFn = double (*)(const double* a, const double* b, int64_t n);
-
 /// Student-t soft assignments: p(n,k) from embeddings z(n,d) and centers
 /// (k,d). Overwrites p.
 using StudentTFn = void (*)(const double* z, int n, int d,
@@ -95,18 +86,6 @@ using GaussianFn = void (*)(const double* z, int n, int d,
 using AdamStepFn = void (*)(double* value, const double* grad, double* m1,
                             double* m2, int64_t n, double beta1, double beta2,
                             double lr, double eps, double bc1, double bc2);
-
-/// Σ softplus(s_i) over dense logits: the base sweep of the unfused
-/// decoder loss, kept as the reference order the fused InnerProductBce
-/// is tested against. Transcendental-bound (log1p/exp), so the vector
-/// tiers alias scalar and the result is bit-identical across ISAs.
-using BceSweepFn = double (*)(const double* s, int64_t n);
-
-/// Operator Ξ's per-row top-two scan over p(n,k): lambda1/lambda2 (each
-/// length n) receive the largest and second-largest entry of every row.
-/// Comparison-only, hence exact on every ISA. Requires k >= 2.
-using TopTwoFn = void (*)(const double* p, int n, int k, double* lambda1,
-                          double* lambda2);
 
 // ---------------------------------------------------------------------------
 // Dispatch wrappers — what product code calls. Each resolves its
@@ -127,9 +106,6 @@ void Spmm(const int* row_ptr, const int* col_idx, const double* vals,
           int rows, const double* x, int x_cols, double* out);
 void SpmmScatter(const int* row_ptr, const int* col_idx, const double* vals,
                  int rows, const double* x, int x_cols, double* out);
-double Sum(const double* p, int64_t n);
-double SumSquares(const double* p, int64_t n);
-double Dot(const double* a, const double* b, int64_t n);
 void StudentT(const double* z, int n, int d, const double* centers, int k,
               double* p);
 void Gaussian(const double* z, int n, int d, const double* centers,
@@ -137,7 +113,26 @@ void Gaussian(const double* z, int n, int d, const double* centers,
 void AdamStep(double* value, const double* grad, double* m1, double* m2,
               int64_t n, double beta1, double beta2, double lr, double eps,
               double bc1, double bc2);
+
+// ---------------------------------------------------------------------------
+// Plain scalar ops, one definition each in kernels_scalar.cc (compiled with
+// -ffp-contract=off like every kernel TU). No workload needs a vector body
+// for these, so they have no stub and no tier.
+// ---------------------------------------------------------------------------
+
+/// Flat reductions over `n` entries, summed in index order.
+double Sum(const double* p, int64_t n);
+double SumSquares(const double* p, int64_t n);
+double Dot(const double* a, const double* b, int64_t n);
+
+/// Σ softplus(s_i) over dense logits: the base sweep of the unfused
+/// decoder loss, kept as the reference order the fused InnerProductBce
+/// is tested against.
 double BceSweep(const double* s, int64_t n);
+
+/// Operator Ξ's per-row top-two scan over p(n,k): lambda1/lambda2 (each
+/// length n) receive the largest and second-largest entry of every row; a
+/// row whose maximum repeats reports it twice. Requires k >= 2.
 void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2);
 
 // ---------------------------------------------------------------------------
@@ -177,10 +172,10 @@ void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
                          double* cz, double* ctz);
 
 // ---------------------------------------------------------------------------
-// Per-ISA implementations, one translation unit each (kernels_scalar.cc,
-// kernels_avx2.cc, kernels_avx512.cc — the latter two compiled with
-// per-file arch flags and registered only when the toolchain has them).
-// Exposed so the equivalence suite can pin any tier directly.
+// Per-ISA implementations of the dispatched ops, one translation unit each:
+// kernels_scalar.cc, and kernels_avx2.cc, compiled with -mavx2 and built
+// only when the toolchain has the flag. Exposed so the equivalence suite
+// can pin either tier directly.
 // ---------------------------------------------------------------------------
 
 #define RGAE_DECLARE_KERNEL_TIER(ns)                                          \
@@ -200,9 +195,6 @@ void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
   void SpmmScatter(const int* row_ptr, const int* col_idx,                    \
                    const double* vals, int rows, const double* x, int x_cols, \
                    double* out);                                              \
-  double Sum(const double* p, int64_t n);                                     \
-  double SumSquares(const double* p, int64_t n);                              \
-  double Dot(const double* a, const double* b, int64_t n);                    \
   void StudentT(const double* z, int n, int d, const double* centers, int k,  \
                 double* p);                                                   \
   void Gaussian(const double* z, int n, int d, const double* centers,         \
@@ -210,17 +202,11 @@ void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
   void AdamStep(double* value, const double* grad, double* m1, double* m2,    \
                 int64_t n, double beta1, double beta2, double lr, double eps, \
                 double bc1, double bc2);                                      \
-  double BceSweep(const double* s, int64_t n);                                \
-  void TopTwo(const double* p, int n, int k, double* lambda1,                 \
-              double* lambda2);                                               \
   }  // namespace ns
 
 RGAE_DECLARE_KERNEL_TIER(scalar)
 #if defined(RGAE_KERNELS_HAVE_AVX2)
 RGAE_DECLARE_KERNEL_TIER(avx2)
-#endif
-#if defined(RGAE_KERNELS_HAVE_AVX512)
-RGAE_DECLARE_KERNEL_TIER(avx512)
 #endif
 
 #undef RGAE_DECLARE_KERNEL_TIER

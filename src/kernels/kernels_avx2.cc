@@ -1,20 +1,18 @@
-// AVX2 tier (compiled with -mavx2 -ffp-contract=off; this TU is the only
-// 256-bit island besides kernels_avx512.cc, enforced by lint R12).
+// AVX2 tier (compiled with -mavx2 -ffp-contract=off). Lint R12 confines
+// raw intrinsics to src/kernels/, and this is the only TU there that has
+// them.
 //
 // Vectorization strategy (DESIGN.md §9): vectorize across *independent
 // output elements* — output columns of a matmul/SpMM row, clusters of a
 // softmax row, elements of an Adam sweep — never across a summation
 // chain, and never with FMA (mul+add keeps scalar rounding). Each output
 // element therefore accumulates its contributions in exactly the scalar
-// order, and every op in this file except Sum/SumSquares/Dot is
-// bit-identical to the scalar tier. The three flat reductions are true
-// horizontal sums; they use a fixed two-register blocking (deterministic,
-// but a different association than scalar — see the ULP-bound test).
+// order, so every op in this file is bit-identical to the scalar tier.
+// Loads and stores are unaligned throughout.
 
 #include <immintrin.h>
 
 #include <cmath>
-#include <limits>
 
 #include "src/kernels/kernels.h"
 
@@ -25,13 +23,6 @@ namespace avx2 {
 namespace {
 
 constexpr int kGemmRowBlock = 4;  // Register-accumulator rows per GEMM tile.
-
-/// Lane sum in a fixed order: ((l0 + l1) + l2) + l3.
-double HsumOrdered(__m256d v) {
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, v);
-  return ((lane[0] + lane[1]) + lane[2]) + lane[3];
-}
 
 /// Strided gather of one column `c` from four consecutive rows of a
 /// row-major (rows, stride) block starting at `r0`.
@@ -207,49 +198,6 @@ void SpmmScatter(const int* row_ptr, const int* col_idx, const double* vals,
   }
 }
 
-double Sum(const double* p, int64_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(p + i));
-    acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(p + i + 4));
-  }
-  double s = HsumOrdered(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += p[i];
-  return s;
-}
-
-double SumSquares(const double* p, int64_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d v0 = _mm256_loadu_pd(p + i);
-    const __m256d v1 = _mm256_loadu_pd(p + i + 4);
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(v0, v0));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(v1, v1));
-  }
-  double s = HsumOrdered(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += p[i] * p[i];
-  return s;
-}
-
-double Dot(const double* a, const double* b, int64_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_add_pd(
-        acc0, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(a + i + 4),
-                                             _mm256_loadu_pd(b + i + 4)));
-  }
-  double s = HsumOrdered(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
 void StudentT(const double* z, int n, int d, const double* centers, int k,
               double* p) {
   const __m256d ones = _mm256_set1_pd(1.0);
@@ -363,57 +311,6 @@ void AdamStep(double* value, const double* grad, double* m1, double* m2,
     const double mhat = m1[i] / bc1;
     const double vhat = m2[i] / bc2;
     value[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-  }
-}
-
-double BceSweep(const double* s, int64_t n) {
-  // Transcendental-bound (log1p + exp per entry): the vector tier aliases
-  // the scalar reference so the loss stays bit-identical across ISAs.
-  return scalar::BceSweep(s, n);
-}
-
-void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2) {
-  if (k < 4) {
-    scalar::TopTwo(p, n, k, lambda1, lambda2);
-    return;
-  }
-  for (int i = 0; i < n; ++i) {
-    const double* row = p + static_cast<size_t>(i) * k;
-    __m256d max1 = _mm256_set1_pd(-std::numeric_limits<double>::max());
-    __m256d max2 = max1;
-    int j = 0;
-    for (; j + 4 <= k; j += 4) {
-      const __m256d x = _mm256_loadu_pd(row + j);
-      // Whichever of (running max, x) loses gets a shot at second place.
-      const __m256d demoted = _mm256_min_pd(max1, x);
-      max1 = _mm256_max_pd(max1, x);
-      max2 = _mm256_max_pd(max2, demoted);
-    }
-    alignas(32) double cand[8];
-    _mm256_store_pd(cand, max1);
-    _mm256_store_pd(cand + 4, max2);
-    double l1 = -std::numeric_limits<double>::max();
-    double l2 = -std::numeric_limits<double>::max();
-    for (int c = 0; c < 8; ++c) {
-      const double v = cand[c];
-      if (v > l1) {
-        l2 = l1;
-        l1 = v;
-      } else if (v > l2) {
-        l2 = v;
-      }
-    }
-    for (; j < k; ++j) {
-      const double v = row[j];
-      if (v > l1) {
-        l2 = l1;
-        l1 = v;
-      } else if (v > l2) {
-        l2 = v;
-      }
-    }
-    lambda1[i] = l1;
-    lambda2[i] = l2;
   }
 }
 

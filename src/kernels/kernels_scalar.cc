@@ -1,8 +1,10 @@
-// Scalar reference tier. Every loop here is the pre-dispatch
-// implementation moved verbatim from matrix.cc / csr.cc / assignments.cc /
-// optimizer.cc / autograd.cc / operators.cc: same loop order, same
-// zero-skips, same accumulation chains. Golden-number tests pin these bits
-// (DESIGN.md §9), so behavior changes belong in a new tier, never here.
+// Scalar reference tier, plus the five plain ops that have no vector tier
+// (Sum, SumSquares, Dot, BceSweep, TopTwo). Every loop here is the
+// pre-dispatch implementation moved verbatim from matrix.cc / csr.cc /
+// assignments.cc / optimizer.cc / autograd.cc / operators.cc: same loop
+// order, same zero-skips, same accumulation chains. Golden-number tests pin
+// these bits (DESIGN.md §9), so the AVX2 tier must reproduce them and
+// behaviour changes never land here.
 
 #include <algorithm>
 #include <cmath>
@@ -91,24 +93,6 @@ void SpmmScatter(const int* row_ptr, const int* col_idx, const double* vals,
   }
 }
 
-double Sum(const double* p, int64_t n) {
-  double s = 0.0;
-  for (int64_t i = 0; i < n; ++i) s += p[i];
-  return s;
-}
-
-double SumSquares(const double* p, int64_t n) {
-  double s = 0.0;
-  for (int64_t i = 0; i < n; ++i) s += p[i] * p[i];
-  return s;
-}
-
-double Dot(const double* a, const double* b, int64_t n) {
-  double s = 0.0;
-  for (int64_t i = 0; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
 void StudentT(const double* z, int n, int d, const double* centers, int k,
               double* p) {
   for (int i = 0; i < n; ++i) {
@@ -169,6 +153,26 @@ void AdamStep(double* value, const double* grad, double* m1, double* m2,
   }
 }
 
+}  // namespace scalar
+
+double Sum(const double* p, int64_t n) {
+  double s = 0.0;
+  for (int64_t i = 0; i < n; ++i) s += p[i];
+  return s;
+}
+
+double SumSquares(const double* p, int64_t n) {
+  double s = 0.0;
+  for (int64_t i = 0; i < n; ++i) s += p[i] * p[i];
+  return s;
+}
+
+double Dot(const double* a, const double* b, int64_t n) {
+  double s = 0.0;
+  for (int64_t i = 0; i < n; ++i) s += a[i] * b[i];
+  return s;
+}
+
 double BceSweep(const double* s, int64_t n) {
   double loss = 0.0;
   for (int64_t i = 0; i < n; ++i) {
@@ -197,6 +201,5 @@ void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2) {
   }
 }
 
-}  // namespace scalar
 }  // namespace kernels
 }  // namespace rgae

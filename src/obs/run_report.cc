@@ -154,7 +154,7 @@ JsonValue BenchDocument(const std::string& bench_name,
   for (JsonValue& report : trial_reports) trials.Append(std::move(report));
   doc.Set("trials", std::move(trials));
   // The ISA every kernel stub dispatched to while this document's numbers
-  // were produced ("scalar" / "avx2" / "avx512"), exported both as a
+  // were produced ("scalar" / "avx2"), exported both as a
   // top-level field and as the kernel.isa_level gauge.
   const kernels::Isa isa = kernels::SelectedIsa();
   doc.Set("kernel_isa", JsonValue(kernels::IsaName(isa)));

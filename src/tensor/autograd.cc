@@ -47,6 +47,49 @@ constexpr size_t kNumOps = std::size(kOpMetricNames);
 
 Shape ShapeOf(const Matrix& m) { return {m.rows(), m.cols()}; }
 
+/// The mixture forward GmmNllLoss and GmmKlLoss share. log π is the
+/// log-softmax of the 1×k logits `lg`; per selected row i the log joints
+/// are ll_j = log π_j + log N(z_i; μ_j, diag exp(lv_j)). Returns each row's
+/// mixture log-likelihood l_i = logsumexp_j ll_j and writes the
+/// responsibilities exp(ll_j - l_i) to resp (rows.size() × k).
+std::vector<double> GmmMixtureForward(const Matrix& zv, const Matrix& mu,
+                                      const Matrix& lv, const Matrix& lg,
+                                      const std::vector<int>& rows,
+                                      Matrix* resp) {
+  const int k = mu.rows();
+  const int d = zv.cols();
+  const int m = static_cast<int>(rows.size());
+  double max_logit = lg(0, 0);
+  for (int j = 1; j < k; ++j) max_logit = std::max(max_logit, lg(0, j));
+  double lse = 0.0;
+  for (int j = 0; j < k; ++j) lse += std::exp(lg(0, j) - max_logit);
+  lse = max_logit + std::log(lse);
+  std::vector<double> log_pi(k);
+  for (int j = 0; j < k; ++j) log_pi[j] = lg(0, j) - lse;
+
+  *resp = Matrix(m, k);
+  std::vector<double> row_ll(m);
+  std::vector<double> ll(k);
+  for (int r = 0; r < m; ++r) {
+    const int i = rows[r];
+    double row_max = -1e300;
+    for (int j = 0; j < k; ++j) {
+      double s = log_pi[j];
+      for (int c = 0; c < d; ++c) {
+        const double diff = zv(i, c) - mu(j, c);
+        s -= 0.5 * (lv(j, c) + kLog2Pi + diff * diff * std::exp(-lv(j, c)));
+      }
+      ll[j] = s;
+      row_max = std::max(row_max, s);
+    }
+    double sum = 0.0;
+    for (int j = 0; j < k; ++j) sum += std::exp(ll[j] - row_max);
+    row_ll[r] = row_max + std::log(sum);
+    for (int j = 0; j < k; ++j) (*resp)(r, j) = std::exp(ll[j] - row_ll[r]);
+  }
+  return row_ll;
+}
+
 /// Counter per tape op ("tape.op.matmul", …), resolved once per process.
 obs::Counter* OpCounter(size_t op) {
   static const std::array<obs::Counter*, kNumOps> counters = [] {
@@ -396,21 +439,11 @@ Var Tape::GmmNllLoss(Var z, Var means, Var logvars, Var pi_logits,
   const Matrix& lg = node(pi_logits).value;
   InferGmmMixture("GmmNllLoss", ShapeOf(zv), ShapeOf(mu), ShapeOf(lv),
                   ShapeOf(lg), rows);
-  const int k = mu.rows();
-  const int d = zv.cols();
   if (rows.empty()) {
     rows.resize(zv.rows());
     for (int i = 0; i < zv.rows(); ++i) rows[i] = i;
   }
   const int m = static_cast<int>(rows.size());
-  // log softmax of mixture logits.
-  double max_logit = lg(0, 0);
-  for (int j = 1; j < k; ++j) max_logit = std::max(max_logit, lg(0, j));
-  double lse = 0.0;
-  for (int j = 0; j < k; ++j) lse += std::exp(lg(0, j) - max_logit);
-  lse = max_logit + std::log(lse);
-  std::vector<double> log_pi(k);
-  for (int j = 0; j < k; ++j) log_pi[j] = lg(0, j) - lse;
 
   Node n;
   n.op = Op::kGmmNll;
@@ -418,25 +451,9 @@ Var Tape::GmmNllLoss(Var z, Var means, Var logvars, Var pi_logits,
   n.b = means.id;
   n.c = logvars.id;
   n.d = pi_logits.id;
-  n.aux = Matrix(m, k);  // Responsibilities r_ik.
+  // aux: the responsibilities r_ik.
   double loss = 0.0;
-  std::vector<double> ll(k);
-  for (int r = 0; r < m; ++r) {
-    const int i = rows[r];
-    double row_max = -1e300;
-    for (int j = 0; j < k; ++j) {
-      double s = log_pi[j];
-      for (int c = 0; c < d; ++c) {
-        const double diff = zv(i, c) - mu(j, c);
-        s -= 0.5 * (lv(j, c) + kLog2Pi + diff * diff * std::exp(-lv(j, c)));
-      }
-      ll[j] = s;
-      row_max = std::max(row_max, s);
-    }
-    double sum = 0.0;
-    for (int j = 0; j < k; ++j) sum += std::exp(ll[j] - row_max);
-    const double li = row_max + std::log(sum);
-    for (int j = 0; j < k; ++j) n.aux(r, j) = std::exp(ll[j] - li);
+  for (const double li : GmmMixtureForward(zv, mu, lv, lg, rows, &n.aux)) {
     loss -= li;
   }
   n.value = Scalar(loss / m);
@@ -460,20 +477,11 @@ Var Tape::GmmKlLoss(Var z, Var means, Var logvars, Var pi_logits,
   InferGmmKl(ShapeOf(zv), ShapeOf(mu), ShapeOf(lv), ShapeOf(lg),
              ShapeOf(*target_q), rows);
   const int k = mu.rows();
-  const int d = zv.cols();
   if (rows.empty()) {
     rows.resize(zv.rows());
     for (int i = 0; i < zv.rows(); ++i) rows[i] = i;
   }
   const int m = static_cast<int>(rows.size());
-  // Mixture log-weights (softmax of logits).
-  double max_logit = lg(0, 0);
-  for (int j = 1; j < k; ++j) max_logit = std::max(max_logit, lg(0, j));
-  double lse = 0.0;
-  for (int j = 0; j < k; ++j) lse += std::exp(lg(0, j) - max_logit);
-  lse = max_logit + std::log(lse);
-  std::vector<double> log_pi(k);
-  for (int j = 0; j < k; ++j) log_pi[j] = lg(0, j) - lse;
 
   Node n;
   n.op = Op::kGmmKl;
@@ -482,29 +490,14 @@ Var Tape::GmmKlLoss(Var z, Var means, Var logvars, Var pi_logits,
   n.c = logvars.id;
   n.d = pi_logits.id;  // Read-only input: no gradient flows (EM-owned).
   n.ext = target_q;
-  n.aux = Matrix(m, k);  // Responsibilities r_ik.
+  // aux: the responsibilities r_ik.
+  GmmMixtureForward(zv, mu, lv, lg, rows, &n.aux);
   double loss = 0.0;
-  std::vector<double> ll(k);
   for (int r = 0; r < m; ++r) {
     const int i = rows[r];
-    double row_max = -1e300;
     for (int j = 0; j < k; ++j) {
-      double s = log_pi[j];
-      for (int c = 0; c < d; ++c) {
-        const double diff = zv(i, c) - mu(j, c);
-        s -= 0.5 * (lv(j, c) + kLog2Pi + diff * diff * std::exp(-lv(j, c)));
-      }
-      ll[j] = s;
-      row_max = std::max(row_max, s);
-    }
-    double sum = 0.0;
-    for (int j = 0; j < k; ++j) sum += std::exp(ll[j] - row_max);
-    const double li = row_max + std::log(sum);
-    for (int j = 0; j < k; ++j) {
-      const double resp = std::exp(ll[j] - li);
-      n.aux(r, j) = resp;
       const double q = (*target_q)(i, j);
-      if (q > 1e-12) loss += q * std::log(q / std::max(resp, 1e-12));
+      if (q > 1e-12) loss += q * std::log(q / std::max(n.aux(r, j), 1e-12));
     }
   }
   n.value = Scalar(loss / m);

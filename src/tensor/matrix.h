@@ -92,8 +92,8 @@ class Matrix {
  private:
   int rows_ = 0;
   int cols_ = 0;
-  // 64-byte-aligned storage (kernels/aligned.h): the flat kernels'
-  // AVX-512 variants rely on aligned loads from data()[0].
+  // 64-byte-aligned storage (kernels/aligned.h). No kernel needs the
+  // alignment; memstat counts the rounded allocation size.
   kernels::AlignedVector data_;
 };
 

@@ -1,6 +1,7 @@
 #include "src/clustering/gmm.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -171,7 +172,8 @@ TEST(GmmTest, CollapsedComponentYieldsFiniteResponsibilities) {
 
 TEST(GmmTest, ImpossiblyFarPointGetsUniformResponsibilities) {
   // A point so distant the squared deviation overflows to +inf makes every
-  // log joint -inf; the fallback hands it a uniform row instead of NaN.
+  // log joint -inf; the fallback hands it a uniform row instead of NaN, and
+  // its log-likelihood is -inf, also not NaN.
   GmmModel model;
   model.means = Matrix(2, 1);
   model.means(1, 0) = 1.0;
@@ -181,6 +183,8 @@ TEST(GmmTest, ImpossiblyFarPointGetsUniformResponsibilities) {
   const Matrix resp = model.Responsibilities(data);
   EXPECT_DOUBLE_EQ(resp(0, 0), 0.5);
   EXPECT_DOUBLE_EQ(resp(0, 1), 0.5);
+  EXPECT_EQ(model.MeanLogLikelihood(data),
+            -std::numeric_limits<double>::infinity());
 }
 
 TEST(GmmTest, EmOnCollapsedDataStaysFinite) {

@@ -3,18 +3,12 @@
 // Every dispatched op is checked against the scalar reference tier across
 // a shape corpus that includes odd/tail sizes (non-multiple-of-vector-width
 // rows and columns), empty matrices, and single-row inputs, under every
-// ISA this machine supports. Two tolerance classes:
-//
-//  - Order-preserving ops (matmul family, SpMM family, soft assignments,
-//    Adam, BCE sweep, top-two, the fused decoder's gradient and loss):
-//    bit-identical to scalar — compared with EXPECT_EQ, tolerance 0. The
-//    fused decoder is also checked against the unfused composition it
-//    replaced: gradient bit-identical, loss within 1e-13 relative.
-//  - Flat reductions (Sum, SumSquares, Dot): vector tiers use fixed
-//    lane-blocked accumulators, so the association differs from scalar.
-//    The drift is bounded by ~n·ulp on the running sum; for the corpus
-//    here (n ≤ 4096, well-scaled data) that is within 1e-13 relative,
-//    which is the bound this suite pins.
+// ISA this machine supports. Every cross-tier comparison is bit-exact
+// (EXPECT_EQ, tolerance 0): the matmul family, SpMM family, soft
+// assignments, Adam and the fused decoder's sigma, gradient and loss. The
+// fused decoder is also checked against the unfused composition it
+// replaced: gradient bit-identical, loss within 1e-13 relative (a
+// different summation order, not a different tier).
 //
 // Same-ISA determinism is tolerance 0 for every op: repeated calls on the
 // same inputs must produce the same bits.
@@ -24,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -94,21 +89,21 @@ TEST(KernelDispatchTest, SupportedIsasStartsWithScalar) {
 }
 
 TEST(KernelDispatchTest, IsaNamesRoundTrip) {
-  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
     Isa parsed = Isa::kScalar;
     EXPECT_TRUE(kernels::IsaFromName(kernels::IsaName(isa), &parsed));
     EXPECT_EQ(parsed, isa);
   }
   Isa ignored;
+  EXPECT_FALSE(kernels::IsaFromName("avx512", &ignored));
   EXPECT_FALSE(kernels::IsaFromName("sse9", &ignored));
   EXPECT_FALSE(kernels::IsaFromName("", &ignored));
 }
 
 TEST(KernelDispatchTest, SetIsaForTestingClampsToSupported) {
   IsaGuard guard;
-  kernels::SetIsaForTesting(Isa::kAvx512);
-  EXPECT_LE(kernels::IsaLevel(kernels::SelectedIsa()),
-            kernels::IsaLevel(kernels::BestSupportedIsa()));
+  kernels::SetIsaForTesting(Isa::kAvx2);
+  EXPECT_EQ(kernels::SelectedIsa(), kernels::BestSupportedIsa());
   kernels::SetIsaForTesting(Isa::kScalar);
   EXPECT_EQ(kernels::SelectedIsa(), Isa::kScalar);
 }
@@ -295,56 +290,6 @@ TEST(KernelEquivalenceTest, SpmmScatterBitIdenticalAcrossIsas) {
   }
 }
 
-TEST(KernelEquivalenceTest, ReductionsWithinUlpBoundOfScalar) {
-  IsaGuard guard;
-  Rng rng(161803);
-  // 1e-13 relative: the lane-blocked association differs from scalar by at
-  // most ~n ulps of the running magnitude; for n <= 4096 of well-scaled
-  // data this bound holds with wide margin. This is the documented drift
-  // ceiling — tightening vectorization must not loosen it.
-  constexpr double kRelBound = 1e-13;
-  for (const int64_t n : {0, 1, 3, 7, 8, 15, 16, 17, 33, 100, 1023, 4096}) {
-    const AlignedVector a = RandomBuffer(static_cast<size_t>(n), rng);
-    const AlignedVector b = RandomBuffer(static_cast<size_t>(n), rng);
-    const double sum_ref = kernels::scalar::Sum(a.data(), n);
-    const double sq_ref = kernels::scalar::SumSquares(a.data(), n);
-    const double dot_ref = kernels::scalar::Dot(a.data(), b.data(), n);
-    for (Isa isa : kernels::SupportedIsas()) {
-      kernels::SetIsaForTesting(isa);
-      const double sum = kernels::Sum(a.data(), n);
-      const double sq = kernels::SumSquares(a.data(), n);
-      const double dot = kernels::Dot(a.data(), b.data(), n);
-      const double scale = std::max(1.0, std::abs(sum_ref));
-      EXPECT_NEAR(sum, sum_ref, kRelBound * scale)
-          << "Sum n=" << n << " " << kernels::IsaName(isa);
-      EXPECT_NEAR(sq, sq_ref, kRelBound * std::max(1.0, sq_ref))
-          << "SumSquares n=" << n << " " << kernels::IsaName(isa);
-      EXPECT_NEAR(dot, dot_ref, kRelBound * std::max(1.0, std::abs(dot_ref)))
-          << "Dot n=" << n << " " << kernels::IsaName(isa);
-      // Same-ISA determinism is still exact.
-      EXPECT_EQ(sum, kernels::Sum(a.data(), n));
-      EXPECT_EQ(sq, kernels::SumSquares(a.data(), n));
-      EXPECT_EQ(dot, kernels::Dot(a.data(), b.data(), n));
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, ReductionsExactForShortBuffers) {
-  // Below one vector block the tails run the scalar loop on every tier, so
-  // even the reductions are bit-identical there.
-  IsaGuard guard;
-  Rng rng(42);
-  for (const int64_t n : {0, 1, 3, 7}) {
-    const AlignedVector a = RandomBuffer(static_cast<size_t>(n), rng);
-    const double want = kernels::scalar::Sum(a.data(), n);
-    for (Isa isa : kernels::SupportedIsas()) {
-      kernels::SetIsaForTesting(isa);
-      EXPECT_EQ(kernels::Sum(a.data(), n), want)
-          << "n=" << n << " " << kernels::IsaName(isa);
-    }
-  }
-}
-
 TEST(KernelEquivalenceTest, StudentTBitIdenticalAcrossIsas) {
   IsaGuard guard;
   Rng rng(7);
@@ -423,40 +368,24 @@ TEST(KernelEquivalenceTest, AdamStepBitIdenticalAcrossIsas) {
   }
 }
 
-TEST(KernelEquivalenceTest, BceSweepBitIdenticalAcrossIsas) {
-  IsaGuard guard;
-  Rng rng(10);
-  for (const int64_t n : {0, 1, 9, 100}) {
-    AlignedVector s(static_cast<size_t>(n));
-    for (double& v : s) v = rng.Gaussian(0.0, 5.0);
-    const double want = kernels::scalar::BceSweep(s.data(), n);
-    for (Isa isa : kernels::SupportedIsas()) {
-      kernels::SetIsaForTesting(isa);
-      EXPECT_EQ(kernels::BceSweep(s.data(), n), want)
-          << "n=" << n << " " << kernels::IsaName(isa);
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, TopTwoExactAcrossIsas) {
-  IsaGuard guard;
+TEST(KernelOpsTest, TopTwoReportsRepeatedMaximumTwice) {
   Rng rng(11);
   for (const int n : {1, 6}) {
     for (const int k : {2, 3, 4, 5, 7, 8, 12, 17}) {
       AlignedVector p(static_cast<size_t>(n) * k);
       for (double& v : p) v = rng.Uniform();
-      // Duplicate-maximum rows: top two must both report the tie value.
+      // Duplicate-maximum row: top two must both report the tie value.
       for (int j = 0; j < k; ++j) p[static_cast<size_t>(j)] = 0.5;
-      AlignedVector l1w(static_cast<size_t>(n)), l2w(static_cast<size_t>(n));
-      kernels::scalar::TopTwo(p.data(), n, k, l1w.data(), l2w.data());
-      EXPECT_EQ(l1w[0], 0.5);
-      EXPECT_EQ(l2w[0], 0.5);
-      for (Isa isa : kernels::SupportedIsas()) {
-        kernels::SetIsaForTesting(isa);
-        AlignedVector l1(static_cast<size_t>(n)), l2(static_cast<size_t>(n));
-        kernels::TopTwo(p.data(), n, k, l1.data(), l2.data());
-        ExpectBitEqual(l1, l1w, "TopTwo(lambda1)", isa);
-        ExpectBitEqual(l2, l2w, "TopTwo(lambda2)", isa);
+      AlignedVector l1(static_cast<size_t>(n)), l2(static_cast<size_t>(n));
+      kernels::TopTwo(p.data(), n, k, l1.data(), l2.data());
+      EXPECT_EQ(l1[0], 0.5);
+      EXPECT_EQ(l2[0], 0.5);
+      for (int i = 1; i < n; ++i) {
+        std::vector<double> row(p.data() + static_cast<size_t>(i) * k,
+                                p.data() + static_cast<size_t>(i + 1) * k);
+        std::sort(row.begin(), row.end(), std::greater<double>());
+        EXPECT_EQ(l1[static_cast<size_t>(i)], row[0]) << "row " << i;
+        EXPECT_EQ(l2[static_cast<size_t>(i)], row[1]) << "row " << i;
       }
     }
   }
@@ -497,7 +426,7 @@ UnfusedDecoder RunUnfusedDecoder(const AlignedVector& z, int n, int d,
   AlignedVector s(nn);
   kernels::scalar::MatMulTransB(z.data(), z.data(), s.data(), n, d, n);
   UnfusedDecoder out;
-  out.loss = kernels::scalar::BceSweep(s.data(), static_cast<int64_t>(nn));
+  out.loss = kernels::BceSweep(s.data(), static_cast<int64_t>(nn));
   AlignedVector c(nn);
   for (size_t e = 0; e < nn; ++e) c[e] = gs * UnfusedSigmoid(s[e]);
   for (int i = 0; i < n; ++i) {
