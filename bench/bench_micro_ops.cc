@@ -200,7 +200,7 @@ void RunCalibratedProfilePass(rgae_bench::BenchObs* obs) {
   expect.Set("kernel.inner_product_bce",
              rgae::obs::JsonValue(kReps * pairs * (2 * ed + 5)));
   expect.Set("kernel.inner_product_bce_grad",
-             rgae::obs::JsonValue(kReps * (4 * en * en * ed + pairs)));
+             rgae::obs::JsonValue(kReps * en * en * (2 * ed + 1)));
   obs->SetExtra("profile_expect", std::move(expect));
 }
 

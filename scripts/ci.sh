@@ -32,11 +32,20 @@ step "ctest -L lint (registered lint cases)"
 (cd "${BUILD_DIR}" && ctest --output-on-failure -L lint)
 
 step "ctest -L concurrency under lockcheck (RGAE_LOCKCHECK=abort)"
-# The serve/lockcheck suites re-run with the runtime lock-order checker armed
-# in fatal mode: any inversion or re-entrant acquisition aborts the test binary.
-# Seeded-violation tests disarm fatality themselves via SetLockCheckFatal.
+# The serve/lockcheck/pool suites re-run with the runtime lock-order checker
+# armed in fatal mode: any inversion or re-entrant acquisition aborts the test
+# binary. Seeded-violation tests disarm fatality themselves via
+# SetLockCheckFatal.
 (cd "${BUILD_DIR}" && RGAE_LOCKCHECK=abort \
   ctest --output-on-failure -L concurrency -j "${JOBS}")
+
+step "thread-sanitizer build, ctest -L concurrency"
+# The serve engine and the kernels' fork-join pool under -fsanitize=thread;
+# any report makes the test binary exit non-zero.
+cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}-tsan" \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRGAE_SANITIZE=thread
+cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" --target rgae_concurrency_tests
+(cd "${BUILD_DIR}-tsan" && ctest --output-on-failure -L concurrency -j "${JOBS}")
 
 step "thread-safety analysis build (clang -Wthread-safety)"
 if command -v clang++ >/dev/null 2>&1; then

@@ -1,5 +1,10 @@
 #include "src/analysis/shape.h"
 
+#include <cstdint>
+#include <limits>
+
+#include "src/graph/csr.h"
+
 namespace rgae {
 
 namespace {
@@ -59,7 +64,58 @@ Shape InferInnerProductBce(const Shape& z, const Shape& target) {
              std::to_string(z.rows) + " for embeddings " + z.ToString() +
              ", got " + target.ToString());
   }
+  const int64_t pairs = static_cast<int64_t>(z.rows) * (z.rows + 1) / 2;
+  if (pairs > std::numeric_limits<int>::max()) {
+    Fail("InnerProductBceLoss",
+         std::to_string(z.rows) + " nodes need a packed sigma cache of " +
+             std::to_string(pairs) + " entries, more than an int can index");
+  }
   return {1, 1};
+}
+
+void CheckSymmetricPositives(const char* op, const CsrMatrix& target) {
+  const std::vector<int>& row_ptr = target.row_ptr();
+  const std::vector<int>& col_idx = target.col_idx();
+  const std::vector<double>& values = target.values();
+  // Every upper positive (i, j > i) must find its mirror (j, i) in row j.
+  // Rows are visited in ascending i, so each row's mirrors are met in
+  // ascending column order and one forward cursor per row finds them all
+  // in O(nnz). Equal upper and lower counts then leave no lower positive
+  // without an upper mirror.
+  std::vector<int> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  int64_t upper = 0;
+  int64_t lower = 0;
+  bool symmetric = true;
+  for (int i = 0; i < target.rows() && symmetric; ++i) {
+    for (int k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      const int j = col_idx[k];
+      if (values[k] == 0.0 || j == i) continue;
+      if (j < i) {
+        ++lower;
+        continue;
+      }
+      ++upper;
+      int& m = cursor[j];
+      while (m < row_ptr[j + 1] && col_idx[m] < i) ++m;
+      if (m == row_ptr[j + 1] || col_idx[m] != i || values[m] == 0.0) {
+        symmetric = false;
+        break;
+      }
+    }
+  }
+  if (symmetric && upper == lower) return;
+  // Name the first positive without a positive mirror.
+  for (int i = 0; i < target.rows(); ++i) {
+    for (int k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      const int j = col_idx[k];
+      if (values[k] != 0.0 && target.At(j, i) == 0.0) {
+        Fail(op, "target positives must be symmetric: (" + std::to_string(i) +
+                     ", " + std::to_string(j) + ") is positive but (" +
+                     std::to_string(j) + ", " + std::to_string(i) +
+                     ") is not");
+      }
+    }
+  }
 }
 
 Shape InferGaussianKl(const Shape& mu, const Shape& logvar) {

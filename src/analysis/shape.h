@@ -7,6 +7,8 @@
 
 namespace rgae {
 
+class CsrMatrix;
+
 /// Error thrown when a `Tape` op records a malformed node: a shape mismatch,
 /// an invalid or foreign-tape `Var`, a null external operand, or `Backward`
 /// misuse. Raised at node-creation time so the failure points at the
@@ -49,8 +51,14 @@ Shape InferElementwise(const char* op, const Shape& a, const Shape& b);
 Shape InferAddRowBroadcast(const Shape& a, const Shape& bias);
 /// Row selection; every index must be in [0, a.rows).
 Shape InferGatherRows(const Shape& a, const std::vector<int>& rows);
-/// BCE(sigmoid(Z Zᵀ), target): target must be square with z.rows rows.
+/// BCE(sigmoid(Z Zᵀ), target): target must be square with z.rows rows, and
+/// the decoder's packed σ cache of z.rows·(z.rows+1)/2 entries must fit in
+/// an int (z.rows <= 65535).
 Shape InferInnerProductBce(const Shape& z, const Shape& target);
+/// The decoder's target contract: its positives (stored non-zero entries)
+/// are symmetric, (i,j) positive exactly when (j,i) is. Structural zeros
+/// need no mirror. `target` must be square.
+void CheckSymmetricPositives(const char* op, const CsrMatrix& target);
 /// Prior KL: mu and logvar must agree.
 Shape InferGaussianKl(const Shape& mu, const Shape& logvar);
 /// Embedded k-means: centers (K,d) with d = z.cols, one assignment in

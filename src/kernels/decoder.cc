@@ -3,15 +3,20 @@
 // accumulation are the same scalar code under every ISA, and only the two
 // dispatched products (MatMulTransB for the S tiles, MatMul for C·Z)
 // follow the selected tier. Both keep every output element's ascending,
-// FMA-free chain, so the results are bit-identical across ISAs.
+// FMA-free chain, so the results are bit-identical across ISAs. The tile
+// sweeps run as ParallelFor tasks that each write outputs of their own,
+// with scratch the caller allocates, so the bits do not depend on how many
+// threads share the work either.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "src/kernels/aligned.h"
 #include "src/kernels/kernels.h"
+#include "src/kernels/parallel.h"
 
 namespace rgae {
 namespace kernels {
@@ -67,29 +72,41 @@ void ConsumePositives(int row, int begin, int end, const int* row_ptr,
 double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
                        const int* col_idx, const double* values,
                        double pos_weight, double* sigma) {
-  AlignedVector s_tile(kTileEntries);
+  // One task per upper-triangle tile pair (i0, j0), in row-major order;
+  // each writes its own σ range and its own pair of partial sums.
+  std::vector<std::pair<int, int>> tiles;
+  for (int i0 = 0; i0 < n; i0 += kTile) {
+    for (int j0 = i0; j0 < n; j0 += kTile) tiles.emplace_back(i0, j0);
+  }
+  std::vector<double> tile_diag(tiles.size()), tile_upper(tiles.size());
+  AlignedVector s_tiles(static_cast<size_t>(ParallelWorkers()) * kTileEntries);
+  ParallelFor(static_cast<int>(tiles.size()), [&](int task, int worker) {
+    const auto [i0, j0] = tiles[static_cast<size_t>(task)];
+    const int mi = std::min(kTile, n - i0);
+    const int mj = std::min(kTile, n - j0);
+    double* s_tile =
+        s_tiles.data() + static_cast<size_t>(worker) * kTileEntries;
+    MatMulTransB(z + static_cast<size_t>(i0) * d,
+                 z + static_cast<size_t>(j0) * d, s_tile, mi, d, mj);
+    double diag = 0.0;
+    double upper = 0.0;
+    for (int r = 0; r < mi; ++r) {
+      const int i = i0 + r;
+      const double* s_row = s_tile + static_cast<size_t>(r) * mj;
+      int c = std::max(i - j0, 0);  // First column with j >= i.
+      double* sig = sigma + Packed(i, j0 + c, n);
+      if (j0 + c == i) diag += PairSweep(s_row[c++], sig++);
+      for (; c < mj; ++c) upper += PairSweep(s_row[c], sig++);
+    }
+    tile_diag[static_cast<size_t>(task)] = diag;
+    tile_upper[static_cast<size_t>(task)] = upper;
+  });
+  // The partials fold in tile order, whichever thread produced them.
   double diag = 0.0;
   double upper = 0.0;
-  for (int i0 = 0; i0 < n; i0 += kTile) {
-    const int mi = std::min(kTile, n - i0);
-    for (int j0 = i0; j0 < n; j0 += kTile) {
-      const int mj = std::min(kTile, n - j0);
-      MatMulTransB(z + static_cast<size_t>(i0) * d,
-                   z + static_cast<size_t>(j0) * d, s_tile.data(), mi, d, mj);
-      // Per-tile partial sums, folded into the totals in tile order.
-      double tile_diag = 0.0;
-      double tile_upper = 0.0;
-      for (int r = 0; r < mi; ++r) {
-        const int i = i0 + r;
-        const double* s_row = s_tile.data() + static_cast<size_t>(r) * mj;
-        int c = std::max(i - j0, 0);  // First column with j >= i.
-        double* sig = sigma + Packed(i, j0 + c, n);
-        if (j0 + c == i) tile_diag += PairSweep(s_row[c++], sig++);
-        for (; c < mj; ++c) tile_upper += PairSweep(s_row[c], sig++);
-      }
-      diag += tile_diag;
-      upper += tile_upper;
-    }
+  for (size_t t = 0; t < tiles.size(); ++t) {
+    diag += tile_diag[t];
+    upper += tile_upper[t];
   }
   // Every entry as a negative: bce(s, 0) = softplus(s), and S is symmetric.
   double loss = diag + 2.0 * upper;
@@ -110,89 +127,62 @@ double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
 void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
                          const int* col_idx, const double* values,
                          double pos_weight, double gs, const double* sigma,
-                         double* cz, double* ctz) {
-  // Per tile pair: p[i][j] = C_ij and q[i][j] = C_ji (the mirror, which
-  // differs from C_ij only where exactly one of (i,j), (j,i) is positive);
-  // pt and qt are their transposes, the coefficients of the J rows.
-  AlignedVector p(kTileEntries), q(kTileEntries), pt(kTileEntries),
-      qt(kTileEntries);
+                         double* cz) {
+  // One task per row block I. It walks the column tiles J in ascending
+  // order, so each output row meets its coefficients in ascending column
+  // order whichever thread runs it, and touches only its own rows of cz
+  // and its own rows' CSR cursors.
+  const int tasks = (n + kTile - 1) / kTile;
+  AlignedVector c_tiles(static_cast<size_t>(ParallelWorkers()) * kTileEntries);
   std::vector<int> cursor(row_ptr, row_ptr + n);
   const double gsw = gs * pos_weight;
-  const auto positive = [&](int i, int j) {
-    return gsw * (sigma[Packed(std::min(i, j), std::max(i, j), n)] - 1.0);
-  };
-  for (int i0 = 0; i0 < n; i0 += kTile) {
+  ParallelFor(tasks, [&](int task, int worker) {
+    const int i0 = task * kTile;
     const int mi = std::min(kTile, n - i0);
-    const double* zi = z + static_cast<size_t>(i0) * d;
+    double* c_tile =
+        c_tiles.data() + static_cast<size_t>(worker) * kTileEntries;
     double* cz_i = cz + static_cast<size_t>(i0) * d;
-    double* ctz_i = ctz + static_cast<size_t>(i0) * d;
-    // Diagonal tile: one symmetric mi×mi block, rows only.
-    for (int r = 0; r < mi; ++r) {
-      const double* sig = sigma + Packed(i0 + r, i0 + r, n);
-      for (int c = r; c < mi; ++c) {
-        const double v = gs * sig[c - r];
-        p[static_cast<size_t>(r) * mi + c] = v;
-        p[static_cast<size_t>(c) * mi + r] = v;
-      }
-    }
-    std::copy(p.begin(), p.begin() + static_cast<size_t>(mi) * mi,
-              q.begin());
-    for (int r = 0; r < mi; ++r) {
-      ConsumePositives(i0 + r, i0, i0 + mi, row_ptr, col_idx, values,
-                       cursor.data(), [&](int j) {
-                         const int c = j - i0;
-                         const double v = positive(i0 + r, j);
-                         p[static_cast<size_t>(r) * mi + c] = v;
-                         q[static_cast<size_t>(c) * mi + r] = v;
-                       });
-    }
-    MatMul(p.data(), zi, cz_i, mi, mi, d);
-    MatMul(q.data(), zi, ctz_i, mi, mi, d);
-
-    for (int j0 = i0 + kTile; j0 < n; j0 += kTile) {
+    for (int j0 = 0; j0 < n; j0 += kTile) {
       const int mj = std::min(kTile, n - j0);
-      const double* zj = z + static_cast<size_t>(j0) * d;
-      double* cz_j = cz + static_cast<size_t>(j0) * d;
-      double* ctz_j = ctz + static_cast<size_t>(j0) * d;
-      for (int r = 0; r < mi; ++r) {
-        const double* sig = sigma + Packed(i0 + r, j0, n);
+      // C_IJ = gs·σ. Row i's entries at j >= i sit in row i of the packed
+      // triangle, those at j < i in column i of the earlier rows.
+      if (j0 > i0) {
+        for (int r = 0; r < mi; ++r) {
+          const double* sig = sigma + Packed(i0 + r, j0, n);
+          double* c_row = c_tile + static_cast<size_t>(r) * mj;
+          for (int c = 0; c < mj; ++c) c_row[c] = gs * sig[c];
+        }
+      } else if (j0 < i0) {
         for (int c = 0; c < mj; ++c) {
-          const double v = gs * sig[c];
-          p[static_cast<size_t>(r) * mj + c] = v;
-          pt[static_cast<size_t>(c) * mi + r] = v;
+          const double* sig = sigma + Packed(j0 + c, i0, n);
+          for (int r = 0; r < mi; ++r) {
+            c_tile[static_cast<size_t>(r) * mj + c] = gs * sig[r];
+          }
+        }
+      } else {
+        for (int r = 0; r < mi; ++r) {
+          const double* sig = sigma + Packed(i0 + r, i0 + r, n);
+          for (int c = r; c < mi; ++c) {
+            const double v = gs * sig[c - r];
+            c_tile[static_cast<size_t>(r) * mi + c] = v;
+            c_tile[static_cast<size_t>(c) * mi + r] = v;
+          }
         }
       }
-      std::copy(p.begin(), p.begin() + static_cast<size_t>(mi) * mj,
-                q.begin());
-      std::copy(pt.begin(), pt.begin() + static_cast<size_t>(mj) * mi,
-                qt.begin());
-      // Row i's positives in J set C_ij; row j's positives in I set C_ji.
+      // Positives take gs·pos_weight·(σ - 1); they are symmetric, like σ.
       for (int r = 0; r < mi; ++r) {
-        ConsumePositives(i0 + r, j0, j0 + mj, row_ptr, col_idx, values,
+        const int i = i0 + r;
+        double* c_row = c_tile + static_cast<size_t>(r) * mj;
+        ConsumePositives(i, j0, j0 + mj, row_ptr, col_idx, values,
                          cursor.data(), [&](int j) {
-                           const int c = j - j0;
-                           const double v = positive(i0 + r, j);
-                           p[static_cast<size_t>(r) * mj + c] = v;
-                           pt[static_cast<size_t>(c) * mi + r] = v;
+                           const double sig = sigma[Packed(
+                               std::min(i, j), std::max(i, j), n)];
+                           c_row[j - j0] = gsw * (sig - 1.0);
                          });
       }
-      for (int c = 0; c < mj; ++c) {
-        ConsumePositives(j0 + c, i0, i0 + mi, row_ptr, col_idx, values,
-                         cursor.data(), [&](int i) {
-                           const int r = i - i0;
-                           const double v = positive(i, j0 + c);
-                           q[static_cast<size_t>(r) * mj + c] = v;
-                           qt[static_cast<size_t>(c) * mi + r] = v;
-                         });
-      }
-      // Rows of I take the J columns, rows of J the I columns: each row
-      // meets its column tiles in ascending order across the whole sweep.
-      MatMul(p.data(), zj, cz_i, mi, mj, d);
-      MatMul(qt.data(), zi, cz_j, mj, mi, d);
-      MatMul(q.data(), zj, ctz_i, mi, mj, d);
-      MatMul(pt.data(), zi, ctz_j, mj, mi, d);
+      MatMul(c_tile, z + static_cast<size_t>(j0) * d, cz_i, mi, mj, d);
     }
-  }
+  });
 }
 
 }  // namespace kernels

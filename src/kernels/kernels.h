@@ -137,39 +137,41 @@ void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2);
 
 // ---------------------------------------------------------------------------
 // The fused inner-product decoder (kernels/decoder.cc). One tile sweep,
-// compiled once without arch flags, over 64×64 node-tile pairs I <= J in
-// row-major upper-triangle order. Its products go through the dispatched
-// MatMulTransB and MatMul above, so it follows the selected ISA; its
-// transcendentals and loss accumulation are scalar libm code.
+// compiled once without arch flags, over 64×64 node tiles, run as
+// ParallelFor tasks (kernels/parallel.h). Its products go through the
+// dispatched MatMulTransB and MatMul above, so it follows the selected ISA;
+// its transcendentals and loss accumulation are scalar libm code. Results
+// are bit-identical across ISAs and across worker counts.
 // ---------------------------------------------------------------------------
 
 /// Forward half. For embeddings z(n,d) and a CSR target (columns ascending
 /// within each row, the CsrMatrix invariant; entries with value 0.0 are
-/// structural zeros), returns the un-normalized weighted BCE between
-/// sigmoid(Z Zᵀ) and the target: Σ_ij softplus(s_ij) plus, per positive,
-/// pos_weight·(softplus(s) - s) - softplus(s). S is built over the
-/// upper-triangle tiles only, with MatMulTransB's per-entry chain, so
-/// s_ij == s_ji bit for bit; one exp(-|s|) per unordered pair feeds both
-/// the softplus and σ(s), and σ for j >= i is written to `sigma`, packed
-/// row-major upper triangle of n(n+1)/2 doubles (row i starts at
-/// i·n - i(i-1)/2). The sum is formed as diag + 2·upper over per-tile
-/// partials in a fixed tile order, then the positives in CSR order:
-/// bit-identical across ISAs.
+/// structural zeros) whose positives are symmetric, returns the
+/// un-normalized weighted BCE between sigmoid(Z Zᵀ) and the target:
+/// Σ_ij softplus(s_ij) plus, per positive, pos_weight·(softplus(s) - s) -
+/// softplus(s). One task per upper-triangle tile pair I <= J builds its S
+/// tile with MatMulTransB's per-entry chain, so s_ij == s_ji bit for bit;
+/// one exp(-|s|) per unordered pair feeds both the softplus and σ(s), and
+/// σ for j >= i is written to `sigma`, packed row-major upper triangle of
+/// n(n+1)/2 doubles (row i starts at i·n - i(i-1)/2). The sum is formed as
+/// diag + 2·upper over per-tile partials folded in row-major tile order,
+/// then the positives in CSR order.
 double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
                        const int* col_idx, const double* values,
                        double pos_weight, double* sigma);
 
 /// Backward half, from the forward's `sigma` and no transcendentals: with
 /// C_ij = gs·σ_ij for negatives and gs·pos_weight·(σ_ij - 1) at
-/// positives, cz(n,d) += C·Z and ctz(n,d) += Cᵀ·Z, both zero-filled by
-/// the caller. Each output row meets its coefficients in ascending column
-/// order with the c == 0.0 skip, so cz and ctz carry the bits of
-/// MatMul(C, Z) and MatMulTransA(C, Z) on a dense C, on every ISA;
-/// dL/dZ = cz + ctz.
+/// positives, cz(n,d) += C·Z, zero-filled by the caller. The positives
+/// must be symmetric (the forward's contract), so C is symmetric and
+/// Cᵀ·Z carries the same bits: dL/dZ = cz + cz. One task per 64-row block
+/// walks the column tiles in ascending order with the c == 0.0 skip, so cz
+/// carries the bits of MatMul(C, Z) and MatMulTransA(C, Z) on a dense C,
+/// on every ISA.
 void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
                          const int* col_idx, const double* values,
                          double pos_weight, double gs, const double* sigma,
-                         double* cz, double* ctz);
+                         double* cz);
 
 // ---------------------------------------------------------------------------
 // Per-ISA implementations of the dispatched ops, one translation unit each:

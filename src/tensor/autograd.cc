@@ -307,6 +307,7 @@ Var Tape::InnerProductBceLoss(Var z, const CsrMatrix* target,
   const int nrows = zv.rows();
   const int d = zv.cols();
   InferInnerProductBce(ShapeOf(zv), {target->rows(), target->cols()});
+  CheckSymmetricPositives("InnerProductBceLoss", *target);
   Node n;
   n.op = Op::kInnerProductBce;
   n.a = z.id;
@@ -314,7 +315,8 @@ Var Tape::InnerProductBceLoss(Var z, const CsrMatrix* target,
   n.w1 = pos_weight;
   n.w2 = norm;
   // σ(s_ij) for j >= i, packed upper triangle: the backward pass's only
-  // cache. Neither S nor any other N×N buffer is materialized.
+  // cache. Neither S nor any other N×N buffer is materialized. Its size
+  // fits in an int: InferInnerProductBce checked it.
   const int64_t pairs = static_cast<int64_t>(nrows) * (nrows + 1) / 2;
   n.aux = Matrix(1, static_cast<int>(pairs));
   double loss = 0.0;
@@ -709,26 +711,25 @@ void Tape::BackwardNode(int id) {
       const double gs = g(0, 0) * n.w2 /
                         (static_cast<double>(nrows) * nrows);
       // dL/dZ = (C + Cᵀ) Z with C_ij = dL/ds_ij: gs·σ(s) for negatives,
-      // gs·pos_weight·(σ(s) - 1) for positives. The kernel returns C·Z and
-      // Cᵀ·Z apart, so their sum rounds exactly as the unfused
-      // MatMul(C, Z) + MatMulTransA(C, Z) did.
+      // gs·pos_weight·(σ(s) - 1) for positives. The target's positives are
+      // symmetric (checked when the node was recorded), so C is too, and
+      // C·Z + C·Z rounds exactly as the unfused MatMul(C, Z) +
+      // MatMulTransA(C, Z) did.
       Matrix cz(nrows, d);
-      Matrix ctz(nrows, d);
       {
         RGAE_TIMED_KERNEL("kernel.inner_product_bce_grad");
-        // Two N×N×d products, C·Z and Cᵀ·Z (2 flops per term), and one
-        // multiply per unordered pair to form C from σ. Reads σ and Z,
-        // writes C·Z and Cᵀ·Z.
+        // One N×N×d product C·Z (2 flops per term) and one multiply per
+        // ordered pair to form C from σ. Reads σ and Z, writes C·Z.
         const int64_t pairs = static_cast<int64_t>(nrows) * (nrows + 1) / 2;
         RGAE_KERNEL_WORK("kernel.inner_product_bce_grad",
-                         4LL * nrows * nrows * d + pairs,
-                         8LL * (pairs + 3LL * nrows * d));
+                         static_cast<int64_t>(nrows) * nrows * (2LL * d + 1),
+                         8LL * (pairs + 2LL * nrows * d));
         kernels::InnerProductBceGrad(
             z.data(), nrows, d, n.sparse->row_ptr().data(),
             n.sparse->col_idx().data(), n.sparse->values().data(), n.w1, gs,
-            n.aux.data(), cz.data(), ctz.data());
+            n.aux.data(), cz.data());
       }
-      cz += ctz;
+      cz += cz;
       *gz += cz;
       break;
     }

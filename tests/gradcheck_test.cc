@@ -46,20 +46,23 @@ TEST(GradCheckTest, InnerProductBceLoss) {
   ExpectPasses(r);
 }
 
-TEST(GradCheckTest, InnerProductBceLossMultiTileAsymmetric) {
+TEST(GradCheckTest, InnerProductBceLossMultiTile) {
   // N = 150 spans three decoder tiles (64 + 64 + 22), so every kind of
-  // tile pair is differentiated. The target is directed: (i, i+1) and
-  // (i, i+7) are positives whose mirrors are not (C_ij != C_ji there), plus
-  // self-loops on every fifth node and a structural zero.
+  // tile pair is differentiated. The undirected edges (i, i+1) and (i, i+7)
+  // cross tile edges, every fifth node has a self-loop, and one mirrored
+  // structural zero stays a negative.
   const int n = 150;
   Parameter z(Pattern(n, 4, 0.004, 0.01));
   std::vector<Triplet> t;
   for (int i = 0; i < n; ++i) {
-    t.push_back({i, (i + 1) % n, 1.0});
-    t.push_back({i, (i + 7) % n, 1.0});
+    for (const int step : {1, 7}) {
+      t.push_back({i, (i + step) % n, 1.0});
+      t.push_back({(i + step) % n, i, 1.0});
+    }
     if (i % 5 == 0) t.push_back({i, i, 1.0});
   }
   t.push_back({3, 90, 0.0});
+  t.push_back({90, 3, 0.0});
   const CsrMatrix target = CsrMatrix::FromTriplets(n, n, std::move(t));
   GradCheckOptions options;
   options.max_entries_per_param = 64;

@@ -11,7 +11,8 @@
 // different summation order, not a different tier).
 //
 // Same-ISA determinism is tolerance 0 for every op: repeated calls on the
-// same inputs must produce the same bits.
+// same inputs must produce the same bits, and the fused decoder's with 1,
+// 2 or all pool workers.
 
 #include "src/kernels/kernels.h"
 
@@ -26,6 +27,7 @@
 #include "src/graph/csr.h"
 #include "src/kernels/aligned.h"
 #include "src/kernels/dispatch.h"
+#include "src/kernels/parallel.h"
 #include "src/tensor/autograd.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/random.h"
@@ -457,12 +459,14 @@ AlignedVector DecoderEmbeddings(int n, int d, Rng& rng) {
   return z;
 }
 
-enum class TargetKind { kSymmetric, kAsymmetric, kEmpty };
+enum class TargetKind { kSymmetric, kEmptyRows, kEmpty };
 
-/// Decoder targets. Symmetric: undirected edges plus self-loops, with
-/// mirrored structural zeros (tv == 0), so the positives stay symmetric.
-/// Asymmetric: directed edges, ~20% empty rows, one-sided structural
-/// zeros and some diagonal positives. Empty: no stored entry at all.
+/// Decoder targets, all with symmetric positives (the decoder's contract).
+/// Symmetric: undirected edges plus a self-loop on every node, with
+/// mirrored structural zeros (tv == 0). EmptyRows: ~20% of the nodes have
+/// no entry at all, some others a diagonal positive, and the undirected
+/// edges among the rest carry mirrored structural zeros. Empty: no stored
+/// entry at all.
 CsrMatrix DecoderTarget(int n, TargetKind kind, Rng& rng) {
   std::vector<Triplet> t;
   if (kind == TargetKind::kSymmetric) {
@@ -476,17 +480,25 @@ CsrMatrix DecoderTarget(int n, TargetKind kind, Rng& rng) {
         t.push_back({j, i, v});
       }
     }
-  } else if (kind == TargetKind::kAsymmetric) {
+  } else if (kind == TargetKind::kEmptyRows) {
+    std::vector<int> linked;
     for (int i = 0; i < n; ++i) {
-      if (rng.Bernoulli(0.2)) continue;  // Empty row.
+      if (!rng.Bernoulli(0.2)) linked.push_back(i);
+    }
+    for (const int i : linked) {
       if (rng.Bernoulli(0.3)) t.push_back({i, i, 1.0});
-      for (int e = 0; e < 4; ++e) {
-        t.push_back({i, rng.UniformInt(n), rng.Bernoulli(0.1) ? 0.0 : 1.0});
+      for (int e = 0; e < 2; ++e) {
+        const int j = linked[rng.UniformInt(static_cast<int>(linked.size()))];
+        const double v = rng.Bernoulli(0.1) ? 0.0 : 1.0;
+        if (j == i) continue;
+        t.push_back({i, j, v});
+        t.push_back({j, i, v});
       }
     }
   }
   CsrMatrix m = CsrMatrix::FromTriplets(n, n, std::move(t));
-  // Duplicates were summed; keep every stored value 0/1 (0 = structural).
+  // Duplicates were summed (mirrors alike); keep every stored value 0/1
+  // (0 = structural).
   for (double& v : m.mutable_values()) v = v == 0.0 ? 0.0 : 1.0;
   return m;
 }
@@ -495,21 +507,30 @@ const char* TargetName(TargetKind kind) {
   switch (kind) {
     case TargetKind::kSymmetric:
       return "symmetric";
-    case TargetKind::kAsymmetric:
-      return "asymmetric";
+    case TargetKind::kEmptyRows:
+      return "empty-rows";
     case TargetKind::kEmpty:
       return "empty";
   }
   return "?";
 }
 
+/// Restores every pool worker on scope exit.
+class WorkersGuard {
+ public:
+  ~WorkersGuard() { kernels::SetParallelWorkersForTesting(0); }
+};
+
 TEST(KernelEquivalenceTest, InnerProductBceMatchesUnfusedComposition) {
-  // Gradient: bit-identical to the unfused dense composition on every ISA
-  // (C·Z and Cᵀ·Z separately). Loss: bit-identical across ISAs and within
-  // 1e-13 relative of the BceSweep-order reference. N spans the tile edges
-  // (64-node tiles) and d the vector tails.
+  // Gradient: C·Z bit-identical to both unfused MatMul(C, Z) and
+  // MatMulTransA(C, Z) on every ISA, C being symmetric. Loss: bit-identical
+  // across ISAs and within 1e-13 relative of the BceSweep-order reference.
+  // Loss, σ and C·Z are also bit-identical with 1 worker, 2 workers and
+  // every worker (0 = all). N spans the tile edges (64-node tiles) and d
+  // the vector tails.
   constexpr double kLossRelBound = 1e-13;
   IsaGuard guard;
+  WorkersGuard workers_guard;
   Rng rng(424242);
   const double pos_weight = 3.7;
   const double gs = 0.013;
@@ -518,7 +539,7 @@ TEST(KernelEquivalenceTest, InnerProductBceMatchesUnfusedComposition) {
     for (const int d : {1, 3, 16, 17}) {
       const AlignedVector z = DecoderEmbeddings(n, d, rng);
       for (const TargetKind kind : {TargetKind::kSymmetric,
-                                    TargetKind::kAsymmetric,
+                                    TargetKind::kEmptyRows,
                                     TargetKind::kEmpty}) {
         const CsrMatrix t = DecoderTarget(n, kind, rng);
         const UnfusedDecoder want =
@@ -527,46 +548,46 @@ TEST(KernelEquivalenceTest, InnerProductBceMatchesUnfusedComposition) {
         AlignedVector s(static_cast<size_t>(n) * n);
         kernels::scalar::MatMulTransB(z.data(), z.data(), s.data(), n, d, n);
         for (double v : s) saturated_cases += std::abs(v) > 745.0;
-        double scalar_loss = 0.0;
+        double first_loss = 0.0;
+        AlignedVector first_sigma, first_cz;
         for (Isa isa : kernels::SupportedIsas()) {
           kernels::SetIsaForTesting(isa);
-          AlignedVector sigma(pairs, -1.0);
-          const double loss = kernels::InnerProductBce(
-              z.data(), n, d, t.row_ptr().data(), t.col_idx().data(),
-              t.values().data(), pos_weight, sigma.data());
-          AlignedVector cz(static_cast<size_t>(n) * d, 0.0);
-          AlignedVector ctz(static_cast<size_t>(n) * d, 0.0);
-          kernels::InnerProductBceGrad(z.data(), n, d, t.row_ptr().data(),
-                                       t.col_idx().data(), t.values().data(),
-                                       pos_weight, gs, sigma.data(),
-                                       cz.data(), ctz.data());
-          SCOPED_TRACE(::testing::Message()
-                       << "n=" << n << " d=" << d << " target="
-                       << TargetName(kind));
-          // σ of the packed upper triangle, row-major from (0, 0).
-          for (int i = 0, e = 0; i < n; ++i) {
-            for (int j = i; j < n; ++j, ++e) {
-              ASSERT_EQ(sigma[static_cast<size_t>(e)],
-                        UnfusedSigmoid(s[static_cast<size_t>(i) * n + j]))
-                  << "sigma(" << i << "," << j << ") under "
-                  << kernels::IsaName(isa);
+          for (const int workers : {1, 2, 0}) {
+            kernels::SetParallelWorkersForTesting(workers);
+            AlignedVector sigma(pairs, -1.0);
+            const double loss = kernels::InnerProductBce(
+                z.data(), n, d, t.row_ptr().data(), t.col_idx().data(),
+                t.values().data(), pos_weight, sigma.data());
+            AlignedVector cz(static_cast<size_t>(n) * d, 0.0);
+            kernels::InnerProductBceGrad(
+                z.data(), n, d, t.row_ptr().data(), t.col_idx().data(),
+                t.values().data(), pos_weight, gs, sigma.data(), cz.data());
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " d=" << d << " target="
+                         << TargetName(kind) << " workers=" << workers);
+            // σ of the packed upper triangle, row-major from (0, 0).
+            for (int i = 0, e = 0; i < n; ++i) {
+              for (int j = i; j < n; ++j, ++e) {
+                ASSERT_EQ(sigma[static_cast<size_t>(e)],
+                          UnfusedSigmoid(s[static_cast<size_t>(i) * n + j]))
+                    << "sigma(" << i << "," << j << ") under "
+                    << kernels::IsaName(isa);
+              }
             }
+            ExpectBitEqual(cz, want.cz, "InnerProductBceGrad vs C*Z", isa);
+            ExpectBitEqual(cz, want.ctz, "InnerProductBceGrad vs Ct*Z", isa);
+            EXPECT_NEAR(loss, want.loss,
+                        kLossRelBound * std::max(1.0, std::abs(want.loss)))
+                << kernels::IsaName(isa);
+            if (first_sigma.empty()) {
+              first_loss = loss;
+              first_sigma = sigma;
+              first_cz = cz;
+            }
+            EXPECT_EQ(loss, first_loss) << kernels::IsaName(isa);
+            ExpectBitEqual(sigma, first_sigma, "InnerProductBce(sigma)", isa);
+            ExpectBitEqual(cz, first_cz, "InnerProductBceGrad", isa);
           }
-          ExpectBitEqual(cz, want.cz, "InnerProductBceGrad(C*Z)", isa);
-          ExpectBitEqual(ctz, want.ctz, "InnerProductBceGrad(Ct*Z)", isa);
-          EXPECT_NEAR(loss, want.loss,
-                      kLossRelBound * std::max(1.0, std::abs(want.loss)))
-              << kernels::IsaName(isa);
-          if (isa == Isa::kScalar) scalar_loss = loss;
-          EXPECT_EQ(loss, scalar_loss) << kernels::IsaName(isa);
-          // Same-ISA determinism.
-          AlignedVector again(pairs);
-          EXPECT_EQ(kernels::InnerProductBce(
-                        z.data(), n, d, t.row_ptr().data(),
-                        t.col_idx().data(), t.values().data(), pos_weight,
-                        again.data()),
-                    loss);
-          ExpectBitEqual(again, sigma, "InnerProductBce(sigma)", isa);
         }
       }
     }
@@ -575,15 +596,15 @@ TEST(KernelEquivalenceTest, InnerProductBceMatchesUnfusedComposition) {
 }
 
 TEST(KernelEquivalenceTest, InnerProductBceGradientThroughTapeMatchesUnfused) {
-  // End to end through the Tape: dL/dZ equals the unfused C·Z + Cᵀ·Z (with
-  // gs = norm/N²) bit for bit under every ISA, on a multi-tile asymmetric
-  // target.
+  // End to end through the Tape: dL/dZ equals the unfused C·Z + C·Z (with
+  // gs = norm/N²) bit for bit under every ISA, on a multi-tile target with
+  // empty rows; C·Z and Cᵀ·Z agree there because C is symmetric.
   IsaGuard guard;
   Rng rng(77);
   const int n = 130, d = 16;
   const double pos_weight = 5.0, norm = 0.6;
   const AlignedVector zbuf = DecoderEmbeddings(n, d, rng);
-  const CsrMatrix t = DecoderTarget(n, TargetKind::kAsymmetric, rng);
+  const CsrMatrix t = DecoderTarget(n, TargetKind::kEmptyRows, rng);
   const UnfusedDecoder want = RunUnfusedDecoder(
       zbuf, n, d, t, pos_weight, norm / (static_cast<double>(n) * n));
   Matrix zm(n, d);
@@ -596,7 +617,8 @@ TEST(KernelEquivalenceTest, InnerProductBceGradientThroughTapeMatchesUnfused) {
                                               norm);
     tape.Backward(loss);
     for (size_t e = 0; e < zbuf.size(); ++e) {
-      ASSERT_EQ(z.grad.data()[e], want.cz[e] + want.ctz[e])
+      ASSERT_EQ(want.cz[e], want.ctz[e]) << "flat index " << e;
+      ASSERT_EQ(z.grad.data()[e], want.cz[e] + want.cz[e])
           << "flat index " << e << " under " << kernels::IsaName(isa);
     }
   }

@@ -75,6 +75,36 @@ TEST(TapeShapeTest, InnerProductBceTargetSizeMismatch) {
   EXPECT_THROW(tape.InnerProductBceLoss(z, nullptr, 1.0, 1.0), TapeError);
 }
 
+TEST(TapeShapeTest, InnerProductBceRejectsAsymmetricTarget) {
+  // The decoder forms C·Z once and doubles it, which needs symmetric
+  // positives; a one-sided structural zero is still a negative both ways.
+  Tape tape;
+  const Var z = tape.Constant(Filled(3, 2, 0.1));
+  const CsrMatrix directed =
+      CsrMatrix::FromTriplets(3, 3, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 1, 1.0}});
+  const CsrMatrix lower_only =
+      CsrMatrix::FromTriplets(3, 3, {{2, 0, 1.0}, {1, 1, 1.0}});
+  const CsrMatrix mirrored_as_zero = CsrMatrix::FromTriplets(
+      3, 3, {{0, 1, 1.0}, {1, 0, 0.0}, {2, 2, 1.0}});
+  const CsrMatrix one_sided_zero =
+      CsrMatrix::FromTriplets(3, 3, {{0, 1, 0.0}, {2, 2, 1.0}});
+  EXPECT_THROW(tape.InnerProductBceLoss(z, &directed, 1.0, 1.0), TapeError);
+  EXPECT_THROW(tape.InnerProductBceLoss(z, &lower_only, 1.0, 1.0), TapeError);
+  EXPECT_THROW(tape.InnerProductBceLoss(z, &mirrored_as_zero, 1.0, 1.0),
+               TapeError);
+  EXPECT_NO_THROW(tape.InnerProductBceLoss(z, &one_sided_zero, 1.0, 1.0));
+}
+
+TEST(TapeShapeTest, InnerProductBceRejectsSigmaCacheBeyondInt) {
+  // 65,536·65,537/2 packed σ entries exceed INT_MAX: rejected before any
+  // allocation.
+  constexpr int kNodes = 65536;
+  Tape tape;
+  const Var z = tape.Constant(Filled(kNodes, 1, 0.1));
+  const CsrMatrix empty = CsrMatrix::FromTriplets(kNodes, kNodes, {});
+  EXPECT_THROW(tape.InnerProductBceLoss(z, &empty, 1.0, 1.0), TapeError);
+}
+
 TEST(TapeShapeTest, KMeansLossValidatesCentersAndAssignments) {
   Tape tape;
   const Var z = tape.Constant(Filled(4, 3, 0.1));
