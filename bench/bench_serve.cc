@@ -14,13 +14,10 @@
 // rgae.bench.v1 document (validated by scripts/check_bench_json.py and the
 // `serve_schema` ctest); `--trace=` works as in every bench.
 //
-// Environment knobs (all optional):
-//   RGAE_SERVE_QUERIES  queries per phase            (default 2000)
-//   RGAE_SERVE_WORKERS  engine worker threads        (default 2)
-//   RGAE_SERVE_ISSUERS  concurrent issuer threads    (default 4)
-//   RGAE_SERVE_BATCH    max queries per worker tick  (default 32)
-//   RGAE_SERVE_CACHE    cache capacity in nodes      (default N/4)
-//   RGAE_SERVE_HOT      hot-set size of the warm run (default 32)
+// `RGAE_SERVE_QUERIES` sets the queries per phase (default 2000). The rest
+// of the load is fixed, by the constants below and a cache of a quarter of
+// the nodes, so bench/baselines/serve.json always measures one
+// configuration.
 
 #include <chrono>
 #include <memory>
@@ -32,6 +29,11 @@
 #include "src/tensor/random.h"
 
 namespace {
+
+constexpr int kWorkers = 2;    // Engine worker threads.
+constexpr int kIssuers = 4;    // Concurrent issuer threads.
+constexpr int kMaxBatch = 32;  // Max queries per worker tick.
+constexpr int kHotSet = 32;    // Hot-set size of the warm phase.
 
 int EnvInt(const char* name, int fallback) {
   const char* value = std::getenv(name);
@@ -78,24 +80,23 @@ rgae::serve::CacheCounters DiffCounters(const rgae::serve::CacheCounters& a,
   return d;
 }
 
-// Runs one load phase: `issuers` threads each issue its share of `queries`
+// Runs one load phase: kIssuers threads each issue their share of `queries`
 // blocking queries (uniform over the hot set when `hot_set` > 0, over the
 // whole graph otherwise), measuring per-query wall latency. Mutations (when
 // `mutate_every` > 0) are applied from the main thread while the issuers
 // run — concurrent with the load.
 PhaseReport RunPhase(rgae::serve::ServeEngine* engine, const std::string& name,
-                     int queries, int issuers, uint64_t seed, int hot_set,
+                     int queries, uint64_t seed, int hot_set,
                      int mutate_every) {
   using Clock = std::chrono::steady_clock;
   const rgae::serve::CacheCounters before = engine->stats().cache;
 
-  std::vector<std::vector<double>> latencies(
-      static_cast<size_t>(issuers));
+  std::vector<std::vector<double>> latencies(static_cast<size_t>(kIssuers));
   const auto phase_start = Clock::now();
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(issuers));
-  for (int i = 0; i < issuers; ++i) {
-    const int share = queries / issuers + (i < queries % issuers ? 1 : 0);
+  threads.reserve(static_cast<size_t>(kIssuers));
+  for (int i = 0; i < kIssuers; ++i) {
+    const int share = queries / kIssuers + (i < queries % kIssuers ? 1 : 0);
     threads.emplace_back([engine, i, share, seed, hot_set, &latencies] {
       rgae::Rng rng(seed + static_cast<uint64_t>(i) * 7919);
       std::vector<double>& sink = latencies[static_cast<size_t>(i)];
@@ -194,32 +195,29 @@ int main(int argc, char** argv) {
   rgae::serve::ModelSnapshot snapshot = model->ExportSnapshot();
 
   const int queries = EnvInt("RGAE_SERVE_QUERIES", 2000);
-  const int issuers = EnvInt("RGAE_SERVE_ISSUERS", 4);
-  const int hot_set = EnvInt("RGAE_SERVE_HOT", 32);
   rgae::serve::ServeOptions serve_options;
-  serve_options.num_workers = EnvInt("RGAE_SERVE_WORKERS", 2);
-  serve_options.max_batch = EnvInt("RGAE_SERVE_BATCH", 32);
-  serve_options.cache_capacity =
-      EnvInt("RGAE_SERVE_CACHE", snapshot.num_nodes() / 4);
+  serve_options.num_workers = kWorkers;
+  serve_options.max_batch = kMaxBatch;
+  serve_options.cache_capacity = snapshot.num_nodes() / 4;
 
   std::printf(
       "model=%s dataset=%s nodes=%d workers=%d batch=%d cache=%d "
       "queries=%d issuers=%d\n",
       model_name.c_str(), dataset.c_str(), snapshot.num_nodes(),
       serve_options.num_workers, serve_options.max_batch,
-      serve_options.cache_capacity, queries, issuers);
+      serve_options.cache_capacity, queries, kIssuers);
 
   rgae::serve::ServeEngine engine(std::move(snapshot), serve_options);
 
   // Cold: uniform nodes, undersized cache, concurrent edge churn.
   const PhaseReport cold =
-      RunPhase(&engine, "cold", queries, issuers, seed, /*hot_set=*/0,
+      RunPhase(&engine, "cold", queries, seed, /*hot_set=*/0,
                /*mutate_every=*/200);
   PrintPhase(cold);
 
   // Warm: repeat queries over a small hot set; the cache answers.
-  const PhaseReport warm = RunPhase(&engine, "warm", queries, issuers,
-                                    seed + 17, hot_set, /*mutate_every=*/0);
+  const PhaseReport warm = RunPhase(&engine, "warm", queries, seed + 17,
+                                    kHotSet, /*mutate_every=*/0);
   PrintPhase(warm);
 
   const double speedup =

@@ -31,17 +31,10 @@ step "ctest -L lint (registered lint cases)"
 # rgae_lint and its self-test, plus clang-tidy and cppcheck when installed.
 (cd "${BUILD_DIR}" && ctest --output-on-failure -L lint)
 
-step "ctest -L concurrency under lockcheck (RGAE_LOCKCHECK=abort)"
-# The serve/lockcheck/pool suites re-run with the runtime lock-order checker
-# armed in fatal mode: any inversion or re-entrant acquisition aborts the test
-# binary. Seeded-violation tests disarm fatality themselves via
-# SetLockCheckFatal.
-(cd "${BUILD_DIR}" && RGAE_LOCKCHECK=abort \
-  ctest --output-on-failure -L concurrency -j "${JOBS}")
-
 step "thread-sanitizer build, ctest -L concurrency"
 # The serve engine and the kernels' fork-join pool under -fsanitize=thread;
-# any report makes the test binary exit non-zero.
+# any report, a data race or a lock-order inversion, makes the test binary
+# exit non-zero. This is the project's one lock-order check.
 cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}-tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRGAE_SANITIZE=thread
 cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" --target rgae_concurrency_tests

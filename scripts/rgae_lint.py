@@ -44,11 +44,7 @@ Enforces invariants that generic tools do not know about:
                       std::condition_variable, and their headers) are
                       banned: use rgae::Mutex / MutexLock / CondVar from
                       src/util/sync.h so every lock carries thread-safety
-                      annotations and reports to the lockcheck analyzer
-                      (DESIGN.md §7). A site that genuinely cannot use the
-                      wrapper (lockcheck's own internals) opts out with a
-                      `// Raw sync: <why>` comment on the line or within
-                      the three lines above.
+                      annotations (DESIGN.md §7). There is no opt-out.
   R11 guarded-by   -- in src/, a `Mutex` member must either appear in an
                       `RGAE_GUARDED_BY(<member>)` annotation somewhere in
                       the same file (it guards data), or carry a
@@ -145,8 +141,7 @@ TIMING_NOTE = "Raw timing:"
 TIMING_NOTE_WINDOW = 3  # opt-out comment may sit up to 3 lines above
 
 # R10: raw std synchronization in src/ outside the wrapper itself. The
-# token list covers the types and their headers; `// Raw sync:` opts out a
-# site that cannot go through rgae::Mutex (lockcheck's own internals).
+# token list covers the types and their headers.
 SYNC_SCOPE = "src/"
 SYNC_ALLOW_FILES = ("src/util/sync.h",)
 SYNC_RAW_RE = re.compile(
@@ -155,8 +150,6 @@ SYNC_RAW_RE = re.compile(
     r"|\bstd::condition_variable(?:_any)?\b"
     r"|#\s*include\s*<(?:mutex|shared_mutex|condition_variable)>"
 )
-SYNC_NOTE = "Raw sync:"
-SYNC_NOTE_WINDOW = 3
 
 # R11: a Mutex member must guard something (appear in RGAE_GUARDED_BY) or
 # declare itself a protocol lock. Matches member-style declarations only;
@@ -275,24 +268,17 @@ def lint_timing(rel, raw_lines, code_lines, findings):
 
 
 def lint_raw_sync(rel, raw_lines, code_lines, findings):
-    """R10: std synchronization primitives in src/ must go through
-    src/util/sync.h (annotated + lockcheck-instrumented), or justify the
-    raw use with a `// Raw sync:` comment nearby."""
+    """R10: std synchronization primitives in src/ must go through the
+    annotated wrappers in src/util/sync.h."""
     if not rel.startswith(SYNC_SCOPE) or rel in SYNC_ALLOW_FILES:
         return
-    for i, (raw, code) in enumerate(zip(raw_lines, code_lines)):
-        # Includes survive comment stripping; check the raw line so the
-        # `<mutex>` token inside a trailing comment cannot fire.
+    for i, code in enumerate(code_lines):
         if not SYNC_RAW_RE.search(code):
-            continue
-        lo = max(0, i - SYNC_NOTE_WINDOW)
-        if any(SYNC_NOTE in raw_lines[j] for j in range(lo, i + 1)):
             continue
         findings.append(
             f"{rel}:{i + 1}: [R10] raw std synchronization; use rgae::Mutex"
-            " / MutexLock / CondVar from src/util/sync.h so the lock is "
-            "annotated and lockcheck-visible, or justify with "
-            "`// Raw sync: <why>` (DESIGN.md §7)"
+            " / MutexLock / CondVar from src/util/sync.h so the lock carries"
+            " thread-safety annotations (DESIGN.md §7)"
         )
 
 
@@ -578,17 +564,6 @@ SELF_TEST_FIXTURES = [
         [],
     ),
     (
-        "src/fix/raw_sync_optout.cc",
-        '#include "src/fix/raw_sync_optout.h"\n'
-        "#include <mutex>  // Raw sync: fixture justifies the raw use.\n"
-        "namespace rgae {\n"
-        "// Raw sync: fixture justifies the raw use.\n"
-        "std::mutex g_justified_mu;\n"
-        "}  // namespace rgae\n",
-        [],
-        ["R10"],
-    ),
-    (
         "src/fix/unguarded_mutex.h",
         "#ifndef RGAE_FIX_UNGUARDED_MUTEX_H_\n"
         "#define RGAE_FIX_UNGUARDED_MUTEX_H_\n"
@@ -596,7 +571,7 @@ SELF_TEST_FIXTURES = [
         "namespace rgae {\n"
         "class Widget {\n"
         " private:\n"
-        '  Mutex mu_{"Widget.mu"};\n'
+        "  Mutex mu_;\n"
         "  int value_ = 0;\n"
         "};\n"
         "}  // namespace rgae\n"
@@ -612,10 +587,10 @@ SELF_TEST_FIXTURES = [
         "namespace rgae {\n"
         "class Gadget {\n"
         " private:\n"
-        '  Mutex mu_{"Gadget.mu"};\n'
+        "  Mutex mu_;\n"
         "  int value_ RGAE_GUARDED_BY(mu_) = 0;\n"
         "  // Protocol lock: serializes Frob against Wobble.\n"
-        '  Mutex order_mu_{"Gadget.order"};\n'
+        "  Mutex order_mu_;\n"
         "};\n"
         "}  // namespace rgae\n"
         "#endif  // RGAE_FIX_GUARDED_MUTEX_H_\n",

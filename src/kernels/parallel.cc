@@ -119,7 +119,7 @@ class Pool {
   std::atomic<int> limit_;
   std::atomic<int> next_{0};  // Claim counter of the call in flight.
 
-  Mutex mu_{"ParallelPool.mu"};
+  Mutex mu_;
   CondVar start_cv_;  // Workers wait here for a call.
   CondVar done_cv_;   // The caller waits here for its workers.
   uint64_t generation_ RGAE_GUARDED_BY(mu_) = 0;  // Calls shared so far.
@@ -136,8 +136,7 @@ class Pool {
 };
 
 /// Created on first use and never destroyed: an exit-time destructor would
-/// race any late caller and the thread_local teardown lockcheck's hooks in
-/// Mutex rely on.
+/// race any late caller.
 Pool& Global() {
   static Pool* pool = new Pool(AffinityCpus());  // Never dies.
   return *pool;

@@ -26,7 +26,7 @@ LogLevel ParseLevel(const char* text, LogLevel fallback) {
 struct LoggerState {
   std::atomic<int> level;
   std::atomic<bool> stderr_enabled{true};
-  Mutex sink_mu{"Logger.sink"};
+  Mutex sink_mu;
   std::FILE* jsonl RGAE_GUARDED_BY(sink_mu) = nullptr;
 
   LoggerState()

@@ -79,7 +79,7 @@ class Histogram {
   JsonValue ToJson() const;
 
  private:
-  mutable Mutex mu_{"Histogram.mu"};
+  mutable Mutex mu_;
   int64_t count_ RGAE_GUARDED_BY(mu_) = 0;
   double sum_ RGAE_GUARDED_BY(mu_) = 0.0;
   double min_ RGAE_GUARDED_BY(mu_) = 0.0;
@@ -109,7 +109,7 @@ class MetricsRegistry {
  private:
   MetricsRegistry() = default;
 
-  mutable Mutex mu_{"MetricsRegistry.mu"};
+  mutable Mutex mu_;
   // Deques give pointer stability; the maps only resolve names to slots.
   // Metric objects handed out are internally synchronized (atomics or the
   // Histogram mutex), so callers never need mu_.

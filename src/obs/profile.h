@@ -87,7 +87,7 @@ class Profiler {
   Node* Intern(Node* parent, const char* name);
   Node* UnattributedRoot();
 
-  mutable Mutex mu_{"Profiler.mu"};
+  mutable Mutex mu_;
   std::vector<std::unique_ptr<Node>> nodes_ RGAE_GUARDED_BY(mu_);
   std::vector<std::unique_ptr<Node>> retired_ RGAE_GUARDED_BY(mu_);
   std::map<std::string, Node*> roots_ RGAE_GUARDED_BY(mu_);

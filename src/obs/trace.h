@@ -67,7 +67,7 @@ class TraceCollector {
  private:
   TraceCollector() = default;
 
-  mutable Mutex mu_{"TraceCollector.mu"};
+  mutable Mutex mu_;
   std::vector<TraceEvent> events_ RGAE_GUARDED_BY(mu_);
   int64_t dropped_ RGAE_GUARDED_BY(mu_) = 0;
 };

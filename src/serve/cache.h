@@ -63,7 +63,7 @@ class EmbeddingCache {
   };
 
   const int capacity_;
-  mutable Mutex mu_{"EmbeddingCache.mu"};
+  mutable Mutex mu_;
   // Most-recently-used at the front; map values point into the list.
   std::list<Slot> lru_ RGAE_GUARDED_BY(mu_);
   std::map<int, std::list<Slot>::iterator> index_ RGAE_GUARDED_BY(mu_);

@@ -111,14 +111,14 @@ class ServeEngine {
   // Guards forward_ and the serving graph; cache inserts and invalidations
   // also happen under it (coherence, see class comment). Never held while
   // queue_mu_ is taken (workers drop queue_mu_ before computing), so the
-  // two are unordered in the lockcheck graph.
-  mutable Mutex state_mu_{"ServeEngine.state"};
+  // two are never nested.
+  mutable Mutex state_mu_;
   ForwardEngine forward_ RGAE_GUARDED_BY(state_mu_);
   // Internally synchronized; inserts/invalidations additionally run under
   // state_mu_ for graph coherence (probes do not).
   EmbeddingCache cache_;
 
-  Mutex queue_mu_{"ServeEngine.queue"};
+  Mutex queue_mu_;
   CondVar queue_cv_;
   std::deque<Request> queue_ RGAE_GUARDED_BY(queue_mu_);
   bool stop_ RGAE_GUARDED_BY(queue_mu_) = false;

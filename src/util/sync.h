@@ -1,37 +1,24 @@
 #ifndef RGAE_UTIL_SYNC_H_
 #define RGAE_UTIL_SYNC_H_
 
-#include <chrono>
-#include <condition_variable>  // Raw sync: wrapped by rgae::CondVar below.
-#include <mutex>               // Raw sync: wrapped by rgae::Mutex below.
-
-#include "src/analysis/lockcheck.h"
+#include <condition_variable>
+#include <mutex>
 
 /// Annotated synchronization primitives (DESIGN.md §7).
 ///
 /// Every mutex in `src/` goes through `rgae::Mutex` / `rgae::MutexLock` /
-/// `rgae::CondVar` instead of the std types (lint rule R10), for two
-/// compounding reasons:
+/// `rgae::CondVar` instead of the std types (lint rule R10), so every lock
+/// carries Clang thread-safety capability attributes: `RGAE_GUARDED_BY(mu_)`
+/// on a member and `RGAE_REQUIRES(mu_)` on a helper are *checked* by
+/// `-Wthread-safety` (the `tsa` CMake preset builds with
+/// `-Werror=thread-safety-analysis`): touching guarded state without the
+/// lock fails the build, not the code review. On non-Clang compilers every
+/// attribute macro expands to nothing.
 ///
-///  1. **Compile-time locking contracts.** The wrappers carry Clang
-///     thread-safety capability attributes, so `RGAE_GUARDED_BY(mu_)` on a
-///     member and `RGAE_REQUIRES(mu_)` on a helper are *checked* by
-///     `-Wthread-safety` (the `tsa` CMake preset builds with
-///     `-Werror=thread-safety-analysis`): touching guarded state without
-///     the lock fails the build, not the code review. On non-Clang
-///     compilers every attribute macro expands to nothing.
-///
-///  2. **Runtime lock-order analysis.** With `RGAE_LOCKCHECK=1` the
-///     wrappers report every acquisition/release to
-///     `src/analysis/lockcheck`, which maintains per-thread held-lock
-///     stacks and a global acquisition-order graph with cycle detection —
-///     the dynamic complement that catches cross-mutex ordering inversions
-///     (potential deadlocks), which per-capability static analysis cannot
-///     express. Disabled, the hook costs one relaxed atomic load per
-///     lock/unlock.
-///
-/// Every `Mutex` is constructed with a site name (`"ServeEngine.queue"`),
-/// which is what lockcheck reports speak in.
+/// Lock-order inversions (potential deadlocks), which per-capability static
+/// analysis cannot express, are left to the thread sanitizer: its deadlock
+/// detector sees every acquisition through these wrappers, and CI runs the
+/// concurrency suite in a `-fsanitize=thread` build.
 
 // ---------------------------------------------------------------------------
 // Clang thread-safety attribute macros. See
@@ -59,11 +46,6 @@
 #define RGAE_GUARDED_BY(x) RGAE_TSA_ATTRIBUTE__(guarded_by(x))
 /// Pointer member whose pointee requires `x` held.
 #define RGAE_PT_GUARDED_BY(x) RGAE_TSA_ATTRIBUTE__(pt_guarded_by(x))
-/// Declares the static acquisition order between two mutex members.
-#define RGAE_ACQUIRED_BEFORE(...) \
-  RGAE_TSA_ATTRIBUTE__(acquired_before(__VA_ARGS__))
-#define RGAE_ACQUIRED_AFTER(...) \
-  RGAE_TSA_ATTRIBUTE__(acquired_after(__VA_ARGS__))
 /// Function requires the listed capabilities held on entry (and exit).
 #define RGAE_REQUIRES(...) \
   RGAE_TSA_ATTRIBUTE__(requires_capability(__VA_ARGS__))
@@ -88,42 +70,22 @@
 
 namespace rgae {
 
-/// Annotated exclusive mutex. Wraps `std::mutex`; carries a site name for
-/// lockcheck reports and the Clang `capability` attribute for static
-/// analysis. Non-copyable, non-movable (the address is the lock identity).
+/// Annotated exclusive mutex. Wraps `std::mutex` and carries the Clang
+/// `capability` attribute for static analysis. Non-copyable, non-movable.
 class RGAE_CAPABILITY("mutex") Mutex {
  public:
-  /// `name` is the lock-site label lockcheck reports speak in; it must
-  /// outlive the mutex (string literals in practice).
-  explicit Mutex(const char* name) : name_(name) {}
+  Mutex() = default;
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock() RGAE_ACQUIRE() {
-    // Edges are recorded *before* blocking, so an inversion that would
-    // deadlock for real is still reported first.
-    if (analysis::LockCheckEnabled()) {
-      analysis::LockCheckPreAcquire(this, name_);
-    }
-    mu_.lock();  // Raw sync: rgae::Mutex implementation.
-    if (analysis::LockCheckEnabled()) {
-      analysis::LockCheckPostAcquire(this, name_);
-    }
-  }
-
-  void Unlock() RGAE_RELEASE() {
-    if (analysis::LockCheckEnabled()) analysis::LockCheckRelease(this);
-    mu_.unlock();  // Raw sync: rgae::Mutex implementation.
-  }
-
-  const char* name() const { return name_; }
+  void Lock() RGAE_ACQUIRE() { mu_.lock(); }
+  void Unlock() RGAE_RELEASE() { mu_.unlock(); }
 
  private:
   friend class CondVar;
 
-  std::mutex mu_;  // Raw sync: rgae::Mutex implementation.
-  const char* const name_;
+  std::mutex mu_;
 };
 
 /// RAII scope lock over `Mutex` (the project's `std::lock_guard`).
@@ -139,19 +101,15 @@ class RGAE_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// Condition variable over `rgae::Mutex`. `Wait`/`WaitFor` take the mutex
-/// (which the caller must hold — `RGAE_REQUIRES`) plus a predicate; the
-/// predicate runs with the mutex held, so annotate its lambda with
-/// `RGAE_REQUIRES(mu)` to keep guarded reads inside it checkable:
+/// Condition variable over `rgae::Mutex`. `Wait` takes the mutex (which the
+/// caller must hold — `RGAE_REQUIRES`) plus a predicate; the predicate runs
+/// with the mutex held, so annotate its lambda with `RGAE_REQUIRES(mu)` to
+/// keep guarded reads inside it checkable:
 ///
 ///   MutexLock lock(queue_mu_);
 ///   queue_cv_.Wait(queue_mu_, [this]() RGAE_REQUIRES(queue_mu_) {
 ///     return stop_ || !queue_.empty();
 ///   });
-///
-/// Lockcheck sees the wait as one release (on entry) and one re-acquisition
-/// (on return); the transient wakeups inside the wait are not individually
-/// reported, so a predicate must not acquire other `rgae::Mutex`es.
 class CondVar {
  public:
   CondVar() = default;
@@ -162,45 +120,19 @@ class CondVar {
   /// Blocks until `pred()` holds. Atomically releases `mu` while blocked.
   template <typename Pred>
   void Wait(Mutex& mu, Pred pred) RGAE_REQUIRES(mu) {
-    if (analysis::LockCheckEnabled()) analysis::LockCheckRelease(&mu);
-    {
-      // Adopt the already-held native mutex for the wait, then dissolve
-      // the unique_lock without unlocking: ownership stays with the
-      // caller's MutexLock scope.
-      // Raw sync: CondVar implementation over the wrapped native handle.
-      std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-      cv_.wait(native, std::move(pred));
-      native.release();
-    }
-    if (analysis::LockCheckEnabled()) {
-      analysis::LockCheckPostAcquire(&mu, mu.name());
-    }
-  }
-
-  /// `Wait` with a relative timeout. Returns `pred()`'s value on wake-up
-  /// (false = timed out with the predicate still unsatisfied).
-  template <typename Pred>
-  bool WaitFor(Mutex& mu, double seconds, Pred pred) RGAE_REQUIRES(mu) {
-    if (analysis::LockCheckEnabled()) analysis::LockCheckRelease(&mu);
-    bool satisfied;
-    {
-      // Raw sync: CondVar implementation over the wrapped native handle.
-      std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-      satisfied = cv_.wait_for(native, std::chrono::duration<double>(seconds),
-                               std::move(pred));
-      native.release();
-    }
-    if (analysis::LockCheckEnabled()) {
-      analysis::LockCheckPostAcquire(&mu, mu.name());
-    }
-    return satisfied;
+    // Adopt the already-held native mutex for the wait, then dissolve the
+    // unique_lock without unlocking: ownership stays with the caller's
+    // MutexLock scope.
+    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
+    cv_.wait(native, std::move(pred));
+    native.release();
   }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:
-  std::condition_variable cv_;  // Raw sync: rgae::CondVar implementation.
+  std::condition_variable cv_;
 };
 
 }  // namespace rgae

@@ -1,6 +1,6 @@
 // The fork-join pool behind the fused decoder (kernels/parallel.h). This
-// suite is in the concurrency binary, so CI also runs it with
-// RGAE_LOCKCHECK=abort and under the thread sanitizer.
+// suite is in the concurrency binary, so CI also runs it under the thread
+// sanitizer.
 
 #include "src/kernels/parallel.h"
 
