@@ -40,6 +40,16 @@ cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}-tsan" \
 cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" --target rgae_concurrency_tests
 (cd "${BUILD_DIR}-tsan" && ctest --output-on-failure -L concurrency -j "${JOBS}")
 
+step "address + undefined-behavior sanitizer build, unit suite"
+# The whole unit suite under -fsanitize=address,undefined (the asan-ubsan
+# preset's settings). ASan aborts on its first report; UBSan only reports
+# and continues by default, so halt_on_error makes a UB report fail too.
+cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}-asan" \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRGAE_SANITIZE=address,undefined
+cmake --build "${BUILD_DIR}-asan" -j "${JOBS}" --target rgae_tests
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  "${BUILD_DIR}-asan/tests/rgae_tests"
+
 step "thread-safety analysis build (clang -Wthread-safety)"
 if command -v clang++ >/dev/null 2>&1; then
   cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}-tsa" \

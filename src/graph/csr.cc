@@ -43,6 +43,31 @@ CsrMatrix CsrMatrix::FromTriplets(int rows, int cols,
   return m;
 }
 
+CsrMatrix CsrMatrix::FromDense(const Matrix& dense) {
+  CsrMatrix m;
+  m.rows_ = dense.rows();
+  m.cols_ = dense.cols();
+  m.row_ptr_.resize(static_cast<size_t>(m.rows_) + 1);
+  // Branch-free compaction of each row into scratch: every entry is
+  // written, and the cursor advances only past a non-zero. A skip branch
+  // would mispredict at nearly every non-zero of a sparse row.
+  std::vector<int> cols(m.cols_);
+  std::vector<double> vals(m.cols_);
+  for (int r = 0; r < m.rows_; ++r) {
+    const double* row = dense.data() + static_cast<size_t>(r) * m.cols_;
+    int n = 0;
+    for (int c = 0; c < m.cols_; ++c) {
+      cols[n] = c;
+      vals[n] = row[c];
+      n += row[c] != 0.0;  // Also drops -0.0; NaN != 0.0 is kept.
+    }
+    m.col_idx_.insert(m.col_idx_.end(), cols.begin(), cols.begin() + n);
+    m.values_.insert(m.values_.end(), vals.begin(), vals.begin() + n);
+    m.row_ptr_[r + 1] = static_cast<int>(m.values_.size());
+  }
+  return m;
+}
+
 CsrMatrix CsrMatrix::Identity(int n) {
   std::vector<Triplet> t;
   t.reserve(n);

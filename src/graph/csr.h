@@ -29,6 +29,13 @@ class CsrMatrix {
   static CsrMatrix FromTriplets(int rows, int cols,
                                 std::vector<Triplet> triplets);
 
+  /// Stores the entries of `dense` that are != 0.0, row-major: 0.0 and
+  /// -0.0 are dropped, NaN and ±inf are kept. A product over the result
+  /// adds the same terms in the same order as the zero-skipping dense
+  /// matmul over `dense`, so `Spmm` matches `MatMul` and `SpmmScatter`
+  /// matches `MatMulTransA` bit for bit (DESIGN.md §9).
+  static CsrMatrix FromDense(const Matrix& dense);
+
   /// Identity matrix of the given size.
   static CsrMatrix Identity(int n);
 

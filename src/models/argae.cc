@@ -63,8 +63,7 @@ void Argae::PostStep(const TrainContext& /*ctx*/) {
 
 Var Argae::BuildLossOnTape(Tape* tape, const TrainContext& ctx,
                            Rng* /*rng*/) {
-  const Var x = FeaturesOnTape(tape);
-  const Var z = encoder_.Encode(tape, &filter_, x);
+  const Var z = encoder_.Encode(tape, &filter_, &features_);
   const Var recon = tape->InnerProductBceLoss(
       z, ctx.recon.graph, ctx.recon.pos_weight, ctx.recon.norm);
   const Var gen = tape->BceWithLogits(discriminator_.Logits(tape, z),

@@ -50,8 +50,7 @@ void Dgae::PreStep(const TrainContext& ctx) {
 
 Var Dgae::BuildLossOnTape(Tape* tape, const TrainContext& ctx, Rng* rng) {
   if (!ctx.include_clustering) return Gae::BuildLossOnTape(tape, ctx, rng);
-  const Var x = FeaturesOnTape(tape);
-  const Var z = encoder_.Encode(tape, &filter_, x);
+  const Var z = encoder_.Encode(tape, &filter_, &features_);
   const Var centers = tape->Leaf(&centers_);
   const Var clus = tape->DecKlLoss(z, centers, &target_q_, ctx.omega);
   const Var recon = tape->InnerProductBceLoss(

@@ -10,8 +10,7 @@ Gae::Gae(const AttributedGraph& graph, const ModelOptions& options)
 }
 
 Var Gae::BuildLossOnTape(Tape* tape, const TrainContext& ctx, Rng* /*rng*/) {
-  const Var x = FeaturesOnTape(tape);
-  const Var z = encoder_.Encode(tape, &filter_, x);
+  const Var z = encoder_.Encode(tape, &filter_, &features_);
   return tape->InnerProductBceLoss(z, ctx.recon.graph, ctx.recon.pos_weight,
                                    ctx.recon.norm);
 }
@@ -24,8 +23,7 @@ serve::ModelSnapshot Gae::ExportSnapshot() const {
 }
 
 Var Gae::EncodeOnTape(Tape* tape) const {
-  const Var x = FeaturesOnTape(tape);
-  return encoder_.Encode(tape, &filter_, x);
+  return encoder_.Encode(tape, &filter_, &features_);
 }
 
 }  // namespace rgae

@@ -19,6 +19,11 @@ class GcnLayer {
   /// Applies the layer on a tape: returns φ(filter · x · W) where φ is ReLU
   /// when `relu` and identity otherwise.
   Var Apply(Tape* tape, const CsrMatrix* filter, Var x, bool relu) const;
+  /// The same layer over a constant sparse input (the feature matrix X):
+  /// x · W is recorded as `Tape::Spmm`, whose bits equal the dense
+  /// zero-skipping `MatMul` over x.ToDense(). `x` must outlive the tape.
+  Var Apply(Tape* tape, const CsrMatrix* filter, const CsrMatrix* x,
+            bool relu) const;
 
   Parameter* weight() { return &weight_; }
   const Parameter* weight() const { return &weight_; }
@@ -34,10 +39,13 @@ class GcnEncoder {
  public:
   GcnEncoder(int in_dim, int hidden_dim, int out_dim, Rng& rng);
 
-  /// Hidden representation H = ReLU(Ã X W₀).
-  Var Hidden(Tape* tape, const CsrMatrix* filter, Var x) const;
+  /// Hidden representation H = ReLU(Ã X W₀), with X·W₀ as an SpMM over
+  /// the CSR feature matrix.
+  Var Hidden(Tape* tape, const CsrMatrix* filter,
+             const CsrMatrix* features) const;
   /// Full embedding Z = Ã H W₁ (linear output).
-  Var Encode(Tape* tape, const CsrMatrix* filter, Var x) const;
+  Var Encode(Tape* tape, const CsrMatrix* filter,
+             const CsrMatrix* features) const;
 
   GcnLayer& layer0() { return layer0_; }
   GcnLayer& layer1() { return layer1_; }

@@ -27,12 +27,12 @@ ReconTarget MakeReconTarget(const CsrMatrix* graph) {
 GaeModel::GaeModel(const AttributedGraph& graph, const ModelOptions& options)
     : graph_(graph),
       options_(options),
-      features_(graph.features()),
+      features_(CsrMatrix::FromDense(graph.features())),
       adjacency_(graph.Adjacency()),
       filter_(graph.NormalizedAdjacency()),
       rng_(options.seed) {
   assert(graph.num_nodes() > 0);
-  assert(!features_.empty());
+  assert(features_.rows() > 0 && features_.cols() > 0);
 }
 
 void GaeModel::InitOptimizer() {
@@ -69,7 +69,7 @@ serve::ModelSnapshot GaeModel::SnapshotBase(const Matrix& w0,
   snapshot.w0 = w0;
   snapshot.w1 = w1;
   snapshot.filter = filter_;
-  snapshot.features = features_;
+  snapshot.features = features_.ToDense();
   return snapshot;
 }
 

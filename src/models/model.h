@@ -163,9 +163,6 @@ class GaeModel {
   /// variational models).
   virtual Var EncodeOnTape(Tape* tape) const = 0;
 
-  /// Registers the feature matrix as a tape constant.
-  Var FeaturesOnTape(Tape* tape) const { return tape->Constant(features_); }
-
   /// Shared `ExportSnapshot` scaffolding: name, encoder weights, filter and
   /// features. Subclasses add their head parameters on top.
   serve::ModelSnapshot SnapshotBase(const Matrix& w0, const Matrix& w1) const;
@@ -176,7 +173,7 @@ class GaeModel {
 
   const AttributedGraph& graph_;
   ModelOptions options_;
-  Matrix features_;
+  CsrMatrix features_;   // X as CSR: the encoder's X·W₀ is an SpMM.
   CsrMatrix adjacency_;  // Raw symmetric A (default A^self).
   CsrMatrix filter_;     // Ã = D^-1/2 (A+I) D^-1/2.
   Rng rng_;

@@ -11,8 +11,7 @@ Vgae::Vgae(const AttributedGraph& graph, const ModelOptions& options)
 }
 
 Vgae::Heads Vgae::SampleOnTape(Tape* tape, Rng* rng) const {
-  const Var x = FeaturesOnTape(tape);
-  const Var h = encoder_.Hidden(tape, &filter_, x);
+  const Var h = encoder_.Hidden(tape, &filter_, &features_);
   Heads heads;
   heads.mu = encoder_.layer1().Apply(tape, &filter_, h, /*relu=*/false);
   // Initialize the posterior near std ≈ exp(-1): with Glorot weights the
@@ -48,8 +47,7 @@ std::vector<Parameter*> Vgae::Params() {
 
 Var Vgae::EncodeOnTape(Tape* tape) const {
   // Deterministic embedding = mu head.
-  const Var x = FeaturesOnTape(tape);
-  return encoder_.Encode(tape, &filter_, x);
+  return encoder_.Encode(tape, &filter_, &features_);
 }
 
 serve::ModelSnapshot Vgae::ExportSnapshot() const {

@@ -117,8 +117,8 @@ class Tape {
 
   /// a * b.
   Var MatMul(Var a, Var b);
-  /// s * x for a constant sparse matrix `s` (graph filter). `s` must outlive
-  /// the tape.
+  /// s * x for a constant sparse matrix `s` (graph filter or feature
+  /// matrix). `s` must outlive the tape.
   Var Spmm(const CsrMatrix* s, Var x);
   /// a + b (same shape).
   Var Add(Var a, Var b);

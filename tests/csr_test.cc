@@ -1,6 +1,8 @@
 #include "src/graph/csr.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -114,6 +116,62 @@ TEST(CsrTest, ToTripletsRoundTrip) {
   const CsrMatrix rebuilt =
       CsrMatrix::FromTriplets(m.rows(), m.cols(), m.ToTriplets());
   EXPECT_TRUE(m == rebuilt);
+}
+
+TEST(CsrTest, FromDenseKeepsExactlyTheNonZerosRowMajor) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Row 1 holds only zeros of both signs; row 2 holds no zero at all.
+  const Matrix dense(4, 4, {0.0, 2.5, -0.0, -1.0,   //
+                            0.0, -0.0, 0.0, 0.0,    //
+                            3.0, nan, -inf, inf,    //
+                            -0.0, 0.0, 0.0, 4.0});
+  const CsrMatrix m = CsrMatrix::FromDense(dense);
+  EXPECT_EQ(m.rows(), 4);
+  EXPECT_EQ(m.cols(), 4);
+  EXPECT_EQ(m.row_ptr(), (std::vector<int>{0, 2, 2, 6, 7}));
+  EXPECT_EQ(m.col_idx(), (std::vector<int>{1, 3, 0, 1, 2, 3, 3}));
+  const std::vector<double>& v = m.values();
+  ASSERT_EQ(v.size(), 7u);
+  EXPECT_EQ(v[0], 2.5);
+  EXPECT_EQ(v[1], -1.0);
+  EXPECT_EQ(v[2], 3.0);
+  EXPECT_TRUE(std::isnan(v[3]));
+  EXPECT_EQ(v[4], -inf);
+  EXPECT_EQ(v[5], inf);
+  EXPECT_EQ(v[6], 4.0);
+  EXPECT_EQ(m.RowNnz(1), 0);
+}
+
+TEST(CsrTest, FromDenseOfZeroAndEmptyMatrices) {
+  const CsrMatrix zeros = CsrMatrix::FromDense(Matrix(3, 5));
+  EXPECT_EQ(zeros.rows(), 3);
+  EXPECT_EQ(zeros.cols(), 5);
+  EXPECT_EQ(zeros.nnz(), 0);
+  EXPECT_EQ(zeros.row_ptr(), (std::vector<int>{0, 0, 0, 0}));
+  const CsrMatrix empty = CsrMatrix::FromDense(Matrix());
+  EXPECT_EQ(empty.rows(), 0);
+  EXPECT_EQ(empty.nnz(), 0);
+  EXPECT_EQ(empty.row_ptr(), (std::vector<int>{0}));
+}
+
+TEST(CsrTest, FromDenseRoundTripsThroughToDense) {
+  // Holds whenever the input has no -0.0, which FromDense drops.
+  Matrix dense(5, 7);
+  for (int r = 0; r < 5; ++r) {
+    for (int c = 0; c < 7; ++c) {
+      if ((r * 7 + c) % 3 != 0 && r != 2) dense(r, c) = 0.25 * (r - c);
+    }
+  }
+  const CsrMatrix m = CsrMatrix::FromDense(dense);
+  // FromTriplets sorts, so equality also checks columns ascend per row.
+  EXPECT_TRUE(m == CsrMatrix::FromTriplets(5, 7, m.ToTriplets()));
+  const Matrix back = m.ToDense();
+  ASSERT_EQ(back.rows(), 5);
+  ASSERT_EQ(back.cols(), 7);
+  for (size_t i = 0; i < dense.size(); ++i) {
+    EXPECT_EQ(back.data()[i], dense.data()[i]) << "flat index " << i;
+  }
 }
 
 TEST(CsrTest, Equality) {

@@ -58,15 +58,49 @@ TEST(GcnLayerTest, MatchesManualComputation) {
   }
 }
 
+TEST(GcnLayerTest, SparseInputMatchesDenseInputBitForBit) {
+  // The encoder's first layer takes X as CSR; its output and its weight
+  // gradient must keep the bits of the dense zero-skipping path.
+  const CsrMatrix filter = TriangleFilter();
+  const Matrix x(3, 5, {0.0, 1.5, -0.0, 0.25, 0.0,  //
+                        0.0, 0.0, 0.0, 0.0, 0.0,    //
+                        -2.0, 0.5, 3.0, 0.0, 1.0});
+  const CsrMatrix sparse_x = CsrMatrix::FromDense(x);
+  const Matrix target(3, 4, 1.0);
+  Matrix outputs[2];
+  Matrix grads[2];
+  for (int sparse = 0; sparse < 2; ++sparse) {
+    Rng rng(8);
+    GcnLayer layer(5, 4, rng);
+    Tape tape;
+    const Var y =
+        sparse ? layer.Apply(&tape, &filter, &sparse_x, /*relu=*/true)
+               : layer.Apply(&tape, &filter, tape.Constant(x), /*relu=*/true);
+    layer.weight()->ZeroGrad();
+    tape.Backward(tape.BceWithLogits(y, &target));
+    outputs[sparse] = tape.value(y);
+    grads[sparse] = layer.weight()->grad;
+  }
+  for (size_t i = 0; i < outputs[0].size(); ++i) {
+    EXPECT_EQ(outputs[1].data()[i], outputs[0].data()[i]) << "output " << i;
+  }
+  EXPECT_GT(grads[0].FrobeniusNorm(), 0.0);
+  for (size_t i = 0; i < grads[0].size(); ++i) {
+    EXPECT_EQ(grads[1].data()[i], grads[0].data()[i]) << "grad " << i;
+  }
+}
+
 TEST(GcnEncoderTest, TwoLayerShapes) {
   Rng rng(4);
   GcnEncoder encoder(10, 8, 4, rng);
   const CsrMatrix filter = TriangleFilter();
+  const CsrMatrix features = CsrMatrix::FromDense(Matrix(3, 10, 0.5));
   Tape tape;
-  const Var x = tape.Constant(Matrix(3, 10, 0.5));
-  const Var h = encoder.Hidden(&tape, &filter, x);
-  const Var z = encoder.Encode(&tape, &filter, x);
+  const Var h = encoder.Hidden(&tape, &filter, &features);
+  const Var z = encoder.Encode(&tape, &filter, &features);
+  EXPECT_EQ(tape.value(h).rows(), 3);
   EXPECT_EQ(tape.value(h).cols(), 8);
+  EXPECT_EQ(tape.value(z).rows(), 3);
   EXPECT_EQ(tape.value(z).cols(), 4);
 }
 
@@ -85,9 +119,10 @@ TEST(GcnEncoderTest, GradientsFlowToBothLayers) {
   Rng rng(6);
   GcnEncoder encoder(4, 3, 2, rng);
   const CsrMatrix filter = TriangleFilter();
+  const CsrMatrix features = CsrMatrix::FromDense(Matrix(3, 4, 1.0));
   Matrix target(3, 2, 1.0);
   Tape tape;
-  const Var z = encoder.Encode(&tape, &filter, tape.Constant(Matrix(3, 4, 1.0)));
+  const Var z = encoder.Encode(&tape, &filter, &features);
   const Var loss = tape.BceWithLogits(z, &target);
   for (Parameter* p : encoder.Params()) p->ZeroGrad();
   tape.Backward(loss);

@@ -8,7 +8,9 @@
 // assignments, Adam and the fused decoder's sigma, gradient and loss. The
 // fused decoder is also checked against the unfused composition it
 // replaced: gradient bit-identical, loss within 1e-13 relative (a
-// different summation order, not a different tier).
+// different summation order, not a different tier). SpMM over
+// CsrMatrix::FromDense(X) is checked against the zero-skipping dense
+// matmuls it replaced in the encoder: bit-identical.
 //
 // Same-ISA determinism is tolerance 0 for every op: repeated calls on the
 // same inputs must produce the same bits, and the fused decoder's with 1,
@@ -19,7 +21,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -288,6 +292,63 @@ TEST(KernelEquivalenceTest, SpmmScatterBitIdenticalAcrossIsas) {
                            s.values().data(), rows, x.data(), x_cols,
                            got.data());
       ExpectBitEqual(got, want, "SpmmScatter", isa);
+    }
+  }
+}
+
+/// Bit-pattern equality, so a sign-of-zero difference counts as a mismatch.
+void ExpectSameBits(const Matrix& got, const Matrix& want, const char* what,
+                    Isa isa) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (size_t i = 0; i < got.size(); ++i) {
+    uint64_t g = 0, w = 0;
+    std::memcpy(&g, got.data() + i, sizeof(g));
+    std::memcpy(&w, want.data() + i, sizeof(w));
+    ASSERT_EQ(g, w) << what << " at flat index " << i << ": " << got.data()[i]
+                    << " vs " << want.data()[i] << " under "
+                    << kernels::IsaName(isa);
+  }
+}
+
+TEST(KernelEquivalenceTest, SpmmOverFromDenseMatchesZeroSkippingMatMul) {
+  // The encoder's X·W₀ runs as Spmm over CsrMatrix::FromDense(X) and its
+  // gradient Xᵀ·G as SpmmScatter; both must keep the bits of the dense
+  // MatMul / MatMulTransA they replaced, under every tier.
+  IsaGuard guard;
+  Rng rng(4242);
+  const double inf = std::numeric_limits<double>::infinity();
+  const int rows = 11, feats = 19, dense_row = 1, zero_col = 5;
+  Matrix x(rows, feats);
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < feats; ++c) {
+      if (r == dense_row) {
+        x(r, c) = 0.5 + rng.Uniform();  // Fully dense row.
+      } else if (r == 0 || c == zero_col || rng.Bernoulli(0.5)) {
+        x(r, c) = rng.Bernoulli(0.5) ? -0.0 : 0.0;  // Row 0 stays empty.
+      } else {
+        x(r, c) = rng.Gaussian();
+      }
+    }
+  }
+  const CsrMatrix s = CsrMatrix::FromDense(x);
+  ASSERT_EQ(s.RowNnz(0), 0);
+  ASSERT_EQ(s.RowNnz(dense_row), feats);
+  // Widths 32 and 13 cover the 8-wide vector bodies and the scalar tails.
+  for (const int h : {32, 13}) {
+    Matrix w = GaussianMatrix(feats, h, 1.0, rng);
+    Matrix g = GaussianMatrix(rows, h, 1.0, rng);
+    // Infs that only a missing zero-skip would turn into NaN: W's row
+    // `zero_col` meets X's zeros in every row but the dense one, and G's
+    // row 0 meets only X's empty row.
+    w(zero_col, 0) = inf;
+    w(zero_col, h - 1) = -inf;
+    g(0, 2) = inf;
+    for (Isa isa : kernels::SupportedIsas()) {
+      kernels::SetIsaForTesting(isa);
+      ExpectSameBits(s.Multiply(w), MatMul(x, w), "Spmm vs MatMul", isa);
+      ExpectSameBits(s.MultiplyTransposed(g), MatMulTransA(x, g),
+                     "SpmmScatter vs MatMulTransA", isa);
     }
   }
 }

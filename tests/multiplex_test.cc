@@ -112,10 +112,16 @@ std::string MultiplexTmpPath(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
-// Writes raw text and parses it back, for the malformed-input cases.
+// Writes raw text and parses it back, for the malformed-input cases. The
+// file is named after the running test: ctest runs each case as its own
+// process, in parallel under -j, so a shared name would let one case
+// overwrite or delete another's input.
 std::optional<MultiplexGraph> LoadFromText(const std::string& contents,
                                            std::string* error) {
-  const std::string path = MultiplexTmpPath("multiplex_case.txt");
+  const std::string path = MultiplexTmpPath(
+      std::string("multiplex_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt");
   std::FILE* f = std::fopen(path.c_str(), "w");
   EXPECT_NE(f, nullptr);
   std::fputs(contents.c_str(), f);
