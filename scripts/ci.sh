@@ -14,8 +14,12 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 step() { echo; echo "==== $* ===="; }
 
 step "configure (${BUILD_DIR})"
+# Warnings are errors here: the tree builds with none under the project's
+# -Wall -Wextra -Wshadow -Wextra-semi -Wnon-virtual-dtor, and this keeps it
+# that way.
 cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}" \
-  -DCMAKE_BUILD_TYPE=Release -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
+  -DCMAKE_BUILD_TYPE=Release -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 step "build"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"

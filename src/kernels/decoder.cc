@@ -1,5 +1,6 @@
 // The fused inner-product decoder (DESIGN.md §9). This TU is compiled
-// once, without arch flags: the sweeps, the transcendentals and the loss
+// once, without arch flags: the sweeps, the transcendentals (one exp per
+// pair, one log1p per row segment in SoftplusSigmoidSweep) and the loss
 // accumulation are the same scalar code under every ISA, and only the two
 // dispatched products (MatMulTransB for the S tiles, MatMul for C·Z)
 // follow the selected tier. Both keep every output element's ascending,
@@ -40,15 +41,6 @@ double RowDot(const double* a, const double* b, int d) {
   double s = 0.0;
   for (int k = 0; k < d; ++k) s += a[k] * b[k];
   return s;
-}
-
-/// One unordered pair: stores σ(s) and returns softplus(s), both from the
-/// single e = exp(-|s|). σ is the unfused Sigmoid's 1/(1+e) for s >= 0
-/// and e/(1+e) below, with the branch folded into a select.
-double PairSweep(double s, double* sigma) {
-  const double e = std::exp(-std::abs(s));
-  *sigma = (s >= 0.0 ? 1.0 : e) / (1.0 + e);
-  return std::log1p(e) + std::max(s, 0.0);
 }
 
 /// Advances row `row`'s CSR cursor to the entries with column in
@@ -95,8 +87,9 @@ double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
       const double* s_row = s_tile + static_cast<size_t>(r) * mj;
       int c = std::max(i - j0, 0);  // First column with j >= i.
       double* sig = sigma + Packed(i, j0 + c, n);
-      if (j0 + c == i) diag += PairSweep(s_row[c++], sig++);
-      for (; c < mj; ++c) upper += PairSweep(s_row[c], sig++);
+      if (j0 + c == i) diag += SoftplusSigmoidSweep(s_row + c++, 1, sig++);
+      // The row segment's upper pairs: one log1p for all of them.
+      upper += SoftplusSigmoidSweep(s_row + c, mj - c, sig);
     }
     tile_diag[static_cast<size_t>(task)] = diag;
     tile_upper[static_cast<size_t>(task)] = upper;

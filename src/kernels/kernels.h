@@ -26,8 +26,8 @@ namespace kernels {
 ///    variants preserve the scalar per-element operation order (they
 ///    vectorize across independent output elements, never across a
 ///    summation chain, and never use FMA), and every transcendental (the
-///    decoder's exp/log1p, the Gaussian softmax's exp) is the same scalar
-///    libm call under either tier.
+///    decoder's exp per node pair and log1p per row segment, the Gaussian
+///    softmax's exp) is the same scalar libm call under either tier.
 ///  - No kernel needs aligned loads: the AVX2 tier loads and stores
 ///    unaligned throughout, so any buffer alignment works.
 
@@ -130,6 +130,16 @@ double Dot(const double* a, const double* b, int64_t n);
 /// is tested against.
 double BceSweep(const double* s, int64_t n);
 
+/// The fused decoder's per-segment sweep. For each of the `count` logits
+/// it takes one e = exp(-|s|) and writes σ(s) = (s >= 0 ? 1 : e) / (1 + e)
+/// to sigma[i], the unfused Sigmoid's bits. It returns Σ softplus(s_i)
+/// with one log1p for the whole call: m = Π(1 + e_i) - 1 is carried as
+/// m + (e + m·e), which keeps every e below 2⁻⁵³ that a plain product
+/// would round away, and the result is log1p(m) + Σ max(s_i, 0). With
+/// count == 1 that is log1p(e) + max(s, 0) bit for bit. Requires
+/// 0 <= count <= 1023: each factor is at most 2, so m stays finite.
+double SoftplusSigmoidSweep(const double* s, int count, double* sigma);
+
 /// Operator Ξ's per-row top-two scan over p(n,k): lambda1/lambda2 (each
 /// length n) receive the largest and second-largest entry of every row; a
 /// row whose maximum repeats reports it twice. Requires k >= 2.
@@ -140,8 +150,8 @@ void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2);
 // compiled once without arch flags, over 64×64 node tiles, run as
 // ParallelFor tasks (kernels/parallel.h). Its products go through the
 // dispatched MatMulTransB and MatMul above, so it follows the selected ISA;
-// its transcendentals and loss accumulation are scalar libm code. Results
-// are bit-identical across ISAs and across worker counts.
+// its sweeps (SoftplusSigmoidSweep) and loss accumulation are scalar libm
+// code. Results are bit-identical across ISAs and across worker counts.
 // ---------------------------------------------------------------------------
 
 /// Forward half. For embeddings z(n,d) and a CSR target (columns ascending
@@ -153,9 +163,11 @@ void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2);
 /// tile with MatMulTransB's per-entry chain, so s_ij == s_ji bit for bit;
 /// one exp(-|s|) per unordered pair feeds both the softplus and σ(s), and
 /// σ for j >= i is written to `sigma`, packed row-major upper triangle of
-/// n(n+1)/2 doubles (row i starts at i·n - i(i-1)/2). The sum is formed as
-/// diag + 2·upper over per-tile partials folded in row-major tile order,
-/// then the positives in CSR order.
+/// n(n+1)/2 doubles (row i starts at i·n - i(i-1)/2). SoftplusSigmoidSweep
+/// runs each diagonal pair alone and each row segment (a tile row's up to
+/// 64 pairs with j > i) as one call, so the upper pairs take one log1p per
+/// segment. The sum is formed as diag + 2·upper over per-tile partials
+/// folded in row-major tile order, then the positives in CSR order.
 double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
                        const int* col_idx, const double* values,
                        double pos_weight, double* sigma);

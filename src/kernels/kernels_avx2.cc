@@ -118,30 +118,110 @@ void MatMulTransA(const double* a, const double* b, double* out, int k, int m,
   }
 }
 
+namespace {
+
+/// One row of MatMulTransB from output column `j` on: four dot products
+/// (four b rows) per vector, with b's columns gathered one element at a
+/// time, then the last n % 4 columns one by one.
+void TransBRow(const double* a_row, const double* b, double* out_row, int k,
+               int n, int j) {
+  for (; j + 4 <= n; j += 4) {
+    const double* b_block = b + static_cast<size_t>(j) * k;
+    __m256d acc = _mm256_setzero_pd();
+    for (int kk = 0; kk < k; ++kk) {
+      const __m256d av = _mm256_set1_pd(a_row[kk]);
+      const __m256d bv = GatherColumn(b_block, k, kk);
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(av, bv));
+    }
+    _mm256_storeu_pd(out_row + j, acc);
+  }
+  for (; j < n; ++j) {
+    const double* b_row = b + static_cast<size_t>(j) * k;
+    double s = 0.0;
+    for (int kk = 0; kk < k; ++kk) s += a_row[kk] * b_row[kk];
+    out_row[j] = s;
+  }
+}
+
+/// The four accumulators of a TransBBlock, one per a row. Named members
+/// and the unrolled AddColumn keep them in registers: GCC 12 left an
+/// accumulator array updated in loops on the stack, a load, add and store
+/// per step, and the block ran no faster than the gathering row code.
+struct TransBAcc {
+  __m256d r0, r1, r2, r3;
+};
+
+/// acc.rX += a(X, kk) · bv for the four a rows starting at `a`, stride
+/// `sk`: a mul, then an add, never FMA.
+inline void AddColumn(TransBAcc& acc, const double* a, size_t sk, int kk,
+                      __m256d bv) {
+  const double* ak = a + kk;
+  acc.r0 = _mm256_add_pd(acc.r0, _mm256_mul_pd(_mm256_broadcast_sd(ak), bv));
+  acc.r1 = _mm256_add_pd(acc.r1,
+                         _mm256_mul_pd(_mm256_broadcast_sd(ak + sk), bv));
+  acc.r2 = _mm256_add_pd(acc.r2,
+                         _mm256_mul_pd(_mm256_broadcast_sd(ak + 2 * sk), bv));
+  acc.r3 = _mm256_add_pd(acc.r3,
+                         _mm256_mul_pd(_mm256_broadcast_sd(ak + 3 * sk), bv));
+}
+
+/// The 4×4 register block of MatMulTransB: rows i..i+3 of a against rows
+/// j..j+3 of b, one accumulator per a row holding its four outputs. Each
+/// step transposes a 4×4 block of b in registers, so lane c of column t
+/// is b(j + c, kk + t); the last k % 4 columns are gathered.
+void TransBBlock(const double* a, const double* b, double* out, int k, int n) {
+  TransBAcc acc = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                   _mm256_setzero_pd(), _mm256_setzero_pd()};
+  const size_t sk = static_cast<size_t>(k);
+  int kk = 0;
+  for (; kk + 4 <= k; kk += 4) {
+    const __m256d b0 = _mm256_loadu_pd(b + kk);
+    const __m256d b1 = _mm256_loadu_pd(b + sk + kk);
+    const __m256d b2 = _mm256_loadu_pd(b + 2 * sk + kk);
+    const __m256d b3 = _mm256_loadu_pd(b + 3 * sk + kk);
+    const __m256d lo01 = _mm256_unpacklo_pd(b0, b1);  // b0[0] b1[0] b0[2] b1[2]
+    const __m256d hi01 = _mm256_unpackhi_pd(b0, b1);  // b0[1] b1[1] b0[3] b1[3]
+    const __m256d lo23 = _mm256_unpacklo_pd(b2, b3);
+    const __m256d hi23 = _mm256_unpackhi_pd(b2, b3);
+    AddColumn(acc, a, sk, kk, _mm256_permute2f128_pd(lo01, lo23, 0x20));
+    AddColumn(acc, a, sk, kk + 1, _mm256_permute2f128_pd(hi01, hi23, 0x20));
+    AddColumn(acc, a, sk, kk + 2, _mm256_permute2f128_pd(lo01, lo23, 0x31));
+    AddColumn(acc, a, sk, kk + 3, _mm256_permute2f128_pd(hi01, hi23, 0x31));
+  }
+  for (; kk < k; ++kk) AddColumn(acc, a, sk, kk, GatherColumn(b, sk, kk));
+  const size_t sn = static_cast<size_t>(n);
+  _mm256_storeu_pd(out, acc.r0);
+  _mm256_storeu_pd(out + sn, acc.r1);
+  _mm256_storeu_pd(out + 2 * sn, acc.r2);
+  _mm256_storeu_pd(out + 3 * sn, acc.r3);
+}
+
+}  // namespace
+
 void MatMulTransB(const double* a, const double* b, double* out, int m, int k,
                   int n) {
-  // Four dot products (four b rows) in flight per vector; the k-chain of
-  // each output element stays sequential, so no cross-ISA drift.
-  for (int i = 0; i < m; ++i) {
-    const double* a_row = a + static_cast<size_t>(i) * k;
-    double* out_row = out + static_cast<size_t>(i) * n;
+  // 4×4 register blocks cover rows and columns in steps of four; the last
+  // n % 4 columns of those rows and the last m % 4 rows go row by row.
+  // Every output element keeps the scalar chain: +0.0, then mul and add
+  // for ascending k, never FMA. The blocks only interleave independent
+  // chains, so the bits match the scalar tier. Nothing is allocated.
+  int i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const double* a_block = a + static_cast<size_t>(i) * k;
+    double* out_block = out + static_cast<size_t>(i) * n;
     int j = 0;
     for (; j + 4 <= n; j += 4) {
-      const double* b_block = b + static_cast<size_t>(j) * k;
-      __m256d acc = _mm256_setzero_pd();
-      for (int kk = 0; kk < k; ++kk) {
-        const __m256d av = _mm256_set1_pd(a_row[kk]);
-        const __m256d bv = GatherColumn(b_block, k, kk);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(av, bv));
-      }
-      _mm256_storeu_pd(out_row + j, acc);
+      TransBBlock(a_block, b + static_cast<size_t>(j) * k, out_block + j, k,
+                  n);
     }
-    for (; j < n; ++j) {
-      const double* b_row = b + static_cast<size_t>(j) * k;
-      double s = 0.0;
-      for (int kk = 0; kk < k; ++kk) s += a_row[kk] * b_row[kk];
-      out_row[j] = s;
+    for (int r = 0; r < 4; ++r) {
+      TransBRow(a_block + static_cast<size_t>(r) * k, b,
+                out_block + static_cast<size_t>(r) * n, k, n, j);
     }
+  }
+  for (; i < m; ++i) {
+    TransBRow(a + static_cast<size_t>(i) * k, b,
+              out + static_cast<size_t>(i) * n, k, n, 0);
   }
 }
 

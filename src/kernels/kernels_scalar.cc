@@ -1,5 +1,6 @@
-// Scalar reference tier, plus the five plain ops that have no vector tier
-// (Sum, SumSquares, Dot, BceSweep, TopTwo). Every loop here is the
+// Scalar reference tier, plus the six plain ops that have no vector tier
+// (Sum, SumSquares, Dot, BceSweep, SoftplusSigmoidSweep, TopTwo). Every
+// loop here except the decoder's SoftplusSigmoidSweep is the
 // pre-dispatch implementation moved verbatim from matrix.cc / csr.cc /
 // assignments.cc / optimizer.cc / autograd.cc / operators.cc: same loop
 // order, same zero-skips, same accumulation chains. Golden-number tests pin
@@ -180,6 +181,18 @@ double BceSweep(const double* s, int64_t n) {
     loss += std::log1p(std::exp(-std::abs(s[i]))) + std::max(s[i], 0.0);
   }
   return loss;
+}
+
+double SoftplusSigmoidSweep(const double* s, int count, double* sigma) {
+  double m = 0.0;  // Π(1 + e) - 1 over the logits so far.
+  double linear = 0.0;
+  for (int i = 0; i < count; ++i) {
+    const double e = std::exp(-std::abs(s[i]));
+    sigma[i] = (s[i] >= 0.0 ? 1.0 : e) / (1.0 + e);
+    m = m + (e + m * e);
+    linear += std::max(s[i], 0.0);
+  }
+  return std::log1p(m) + linear;
 }
 
 void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2) {

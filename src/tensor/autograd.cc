@@ -322,8 +322,10 @@ Var Tape::InnerProductBceLoss(Var z, const CsrMatrix* target,
   double loss = 0.0;
   {
     RGAE_TIMED_KERNEL("kernel.inner_product_bce");
-    // Per unordered pair: a d-long dot (2d flops) and the shared-exp
-    // softplus/σ sweep (5 flops). Reads Z, writes σ.
+    // Per unordered pair: a d-long dot (2d flops) and the sweep's σ and
+    // softplus carry from one shared exp (5 flops). Transcendentals are not
+    // booked: one exp per pair, one log1p per row segment. Reads Z, writes
+    // σ.
     RGAE_KERNEL_WORK("kernel.inner_product_bce", pairs * (2LL * d + 5),
                      8LL * (static_cast<int64_t>(nrows) * d + pairs));
     loss = kernels::InnerProductBce(

@@ -8,9 +8,12 @@
 // assignments, Adam and the fused decoder's sigma, gradient and loss. The
 // fused decoder is also checked against the unfused composition it
 // replaced: gradient bit-identical, loss within 1e-13 relative (a
-// different summation order, not a different tier). SpMM over
-// CsrMatrix::FromDense(X) is checked against the zero-skipping dense
-// matmuls it replaced in the encoder: bit-identical.
+// different summation order, not a different tier). Its per-segment sweep,
+// SoftplusSigmoidSweep, is checked on its own against a long-double
+// per-logit reference. SpMM over CsrMatrix::FromDense(X) is checked
+// against the zero-skipping dense matmuls it replaced in the encoder:
+// bit-identical. Those two and MatMulTransB compare bit patterns, so ±0
+// and NaN outputs count too.
 //
 // Same-ISA determinism is tolerance 0 for every op: repeated calls on the
 // same inputs must produce the same bits, and the fused decoder's with 1,
@@ -70,6 +73,23 @@ void ExpectBitEqual(const AlignedVector& got, const AlignedVector& want,
     ASSERT_EQ(got[i], want[i])
         << what << " diverged from scalar at flat index " << i << " under "
         << kernels::IsaName(isa);
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// Bit-pattern equality over `n` doubles, so a sign-of-zero or NaN-payload
+/// difference counts as a mismatch and two equal NaNs as a match.
+void ExpectSameBits(const double* got, const double* want, size_t n,
+                    const char* what, Isa isa) {
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(Bits(got[i]), Bits(want[i]))
+        << what << " at flat index " << i << ": " << got[i] << " vs "
+        << want[i] << " under " << kernels::IsaName(isa);
   }
 }
 
@@ -203,21 +223,56 @@ TEST(KernelEquivalenceTest, MatMulTransABitIdenticalAcrossIsas) {
 }
 
 TEST(KernelEquivalenceTest, MatMulTransBBitIdenticalAcrossIsas) {
+  // Compared as bit patterns. Beyond kMatShapes: the decoder's S tile
+  // (64×16 by 64×16); a shape past two 4×4 blocks whose m, k and n are all
+  // ≢ 0 mod 4; and that shape again with an all-(−0.0) row of a and sparse
+  // ±inf entries in both operands, so some outputs are ±inf or NaN.
   IsaGuard guard;
   Rng rng(55);
-  for (const MatShape& s : kMatShapes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    MatShape s;
+    bool special;
+  };
+  std::vector<Case> cases;
+  for (const MatShape& s : kMatShapes) cases.push_back({s, false});
+  cases.push_back({{64, 16, 64}, false});
+  cases.push_back({{9, 18, 11}, false});
+  cases.push_back({{9, 18, 11}, true});
+  for (const auto& [s, special] : cases) {
     // a stored (m, k), b stored (n, k); out overwritten, no pre-zero needed,
     // but poison it to catch stale reads.
-    const AlignedVector a = RandomBuffer(static_cast<size_t>(s.m) * s.k, rng);
-    const AlignedVector b = RandomBuffer(static_cast<size_t>(s.n) * s.k, rng);
-    AlignedVector want(static_cast<size_t>(s.m) * s.n, -7.0);
+    AlignedVector a = RandomBuffer(static_cast<size_t>(s.m) * s.k, rng);
+    AlignedVector b = RandomBuffer(static_cast<size_t>(s.n) * s.k, rng);
+    if (special) {
+      const int k = s.k;
+      auto at = [k](AlignedVector& m, int row, int col) -> double& {
+        return m[static_cast<size_t>(row) * k + col];
+      };
+      std::fill_n(&at(a, 2, 0), k, -0.0);
+      at(a, 5, 3) = inf;
+      at(a, 8, 17) = -inf;
+      at(b, 1, 2) = -inf;
+      at(b, 6, 0) = inf;
+      at(b, 10, 17) = inf;
+    }
+    const size_t outs = static_cast<size_t>(s.m) * s.n;
+    AlignedVector want(outs, -7.0);
     kernels::scalar::MatMulTransB(a.data(), b.data(), want.data(), s.m, s.k,
                                   s.n);
+    if (special) {
+      ASSERT_TRUE(std::any_of(want.begin(), want.end(),
+                              [](double v) { return std::isnan(v); }));
+      ASSERT_TRUE(std::any_of(want.begin(), want.end(),
+                              [](double v) { return std::isinf(v); }));
+    }
     for (Isa isa : kernels::SupportedIsas()) {
       kernels::SetIsaForTesting(isa);
-      AlignedVector got(static_cast<size_t>(s.m) * s.n, -7.0);
+      AlignedVector got(outs, -7.0);
       kernels::MatMulTransB(a.data(), b.data(), got.data(), s.m, s.k, s.n);
-      ExpectBitEqual(got, want, "MatMulTransB", isa);
+      SCOPED_TRACE(::testing::Message() << s.m << "x" << s.k << " by " << s.n
+                                        << "x" << s.k);
+      ExpectSameBits(got.data(), want.data(), outs, "MatMulTransB", isa);
     }
   }
 }
@@ -296,19 +351,11 @@ TEST(KernelEquivalenceTest, SpmmScatterBitIdenticalAcrossIsas) {
   }
 }
 
-/// Bit-pattern equality, so a sign-of-zero difference counts as a mismatch.
 void ExpectSameBits(const Matrix& got, const Matrix& want, const char* what,
                     Isa isa) {
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
-  for (size_t i = 0; i < got.size(); ++i) {
-    uint64_t g = 0, w = 0;
-    std::memcpy(&g, got.data() + i, sizeof(g));
-    std::memcpy(&w, want.data() + i, sizeof(w));
-    ASSERT_EQ(g, w) << what << " at flat index " << i << ": " << got.data()[i]
-                    << " vs " << want.data()[i] << " under "
-                    << kernels::IsaName(isa);
-  }
+  ExpectSameBits(got.data(), want.data(), got.size(), what, isa);
 }
 
 TEST(KernelEquivalenceTest, SpmmOverFromDenseMatchesZeroSkippingMatMul) {
@@ -471,6 +518,82 @@ double UnfusedSigmoid(double x) {
 
 double UnfusedSoftplus(double x) {
   return std::log1p(std::exp(-std::abs(x))) + std::max(x, 0.0);
+}
+
+TEST(KernelOpsTest, SoftplusSigmoidSweepMatchesLongDoubleReference) {
+  // 64-logit segments, the decoder's longest, in four regimes. The loss is
+  // within 1e-14 relative of a long-double Σ log1pl(e) + max(s, 0), where
+  // a plain Π(1 + e) would lose every e below 2⁻⁵³ (the two all-negative
+  // regimes); σ carries the unfused Sigmoid's bits.
+  constexpr double kRelBound = 1e-14;
+  constexpr int kSegment = 64;
+  struct Regime {
+    const char* name;
+    double lo, hi;
+  };
+  const Regime regimes[] = {{"|s| <= 6", -6.0, 6.0},
+                            {"s in [-45, -30]", -45.0, -30.0},
+                            {"s in [-700, -37]", -700.0, -37.0},
+                            {"mixed +-60", -60.0, 60.0}};
+  Rng rng(1717);
+  for (const Regime& regime : regimes) {
+    for (int segment = 0; segment < 500; ++segment) {
+      double s[kSegment], sigma[kSegment];
+      long double want = 0.0L;
+      for (int i = 0; i < kSegment; ++i) {
+        s[i] = regime.lo + (regime.hi - regime.lo) * rng.Uniform();
+        want += log1pl(std::exp(-std::abs(s[i]))) + std::max(s[i], 0.0);
+      }
+      const double got = kernels::SoftplusSigmoidSweep(s, kSegment, sigma);
+      const double ref = static_cast<double>(want);
+      ASSERT_GT(ref, 0.0) << regime.name;
+      ASSERT_LE(std::abs(got - ref), kRelBound * ref)
+          << regime.name << " segment " << segment << ": " << got << " vs "
+          << ref;
+      for (int i = 0; i < kSegment; ++i) {
+        ASSERT_EQ(Bits(sigma[i]), Bits(UnfusedSigmoid(s[i])))
+            << regime.name << " s=" << s[i];
+      }
+    }
+  }
+}
+
+TEST(KernelOpsTest, SoftplusSigmoidSweepOfOneLogitIsThePerPairSoftplus) {
+  // The decoder's diagonal pairs are count-1 calls: they must keep the
+  // per-pair log1p(e) + max(s, 0) bits on every non-NaN logit.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> logits = {0.0,     -0.0,   inf,     -inf,   denorm,
+                                -denorm, 1e-310, -1e-310, 745.5,  -745.5,
+                                800.0,   -800.0, 1e300,   -1e300, 36.9,
+                                -36.9,   1.0,    -1.0};
+  Rng rng(23);
+  for (int i = 0; i < 2000; ++i) logits.push_back(80.0 * rng.Gaussian());
+  for (const double s : logits) {
+    double sigma = -1.0;
+    const double got = kernels::SoftplusSigmoidSweep(&s, 1, &sigma);
+    EXPECT_EQ(Bits(got),
+              Bits(std::log1p(std::exp(-std::abs(s))) + std::max(s, 0.0)))
+        << "s=" << s;
+    EXPECT_EQ(Bits(sigma), Bits(UnfusedSigmoid(s))) << "s=" << s;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  double sigma = 0.0;
+  EXPECT_TRUE(std::isnan(kernels::SoftplusSigmoidSweep(&nan, 1, &sigma)));
+  EXPECT_TRUE(std::isnan(sigma));
+  EXPECT_EQ(kernels::SoftplusSigmoidSweep(nullptr, 0, nullptr), 0.0);
+}
+
+TEST(KernelOpsTest, SoftplusSigmoidSweepStaysFiniteAtItsLongestSegment) {
+  // 1023 zero logits, the contract's limit: every factor of Π(1 + e) is 2,
+  // and m = 2^1023 - 1 rounds to 2^1023, still finite.
+  constexpr int kCount = 1023;
+  const std::vector<double> s(kCount, 0.0);
+  std::vector<double> sigma(kCount, -1.0);
+  const double got = kernels::SoftplusSigmoidSweep(s.data(), kCount,
+                                                   sigma.data());
+  EXPECT_DOUBLE_EQ(got, kCount * std::log(2.0));
+  for (const double v : sigma) ASSERT_EQ(v, 0.5);
 }
 
 /// The pre-fusion composition, rebuilt from the scalar tier: dense S by

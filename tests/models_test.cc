@@ -1,10 +1,15 @@
 #include "src/models/model_factory.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/graph/generators.h"
+#include "src/kernels/dispatch.h"
 #include "src/models/dgae.h"
 #include "src/models/gae.h"
 #include "src/models/gmm_vgae.h"
@@ -12,9 +17,9 @@
 namespace rgae {
 namespace {
 
-AttributedGraph TestGraph(uint64_t seed = 1) {
+AttributedGraph TestGraph(uint64_t seed = 1, int num_nodes = 60) {
   CitationLikeOptions o;
-  o.num_nodes = 60;
+  o.num_nodes = num_nodes;
   o.num_clusters = 3;
   o.feature_dim = 40;
   o.topic_words = 12;
@@ -117,6 +122,85 @@ TEST_P(ModelZooTest, GradSnapshotsDoNotDisturbState) {
       EXPECT_DOUBLE_EQ(z_after(i, c), z_before(i, c));
     }
   }
+}
+
+/// Restores the selected kernel tier on scope exit.
+class IsaGuard {
+ public:
+  IsaGuard() : saved_(kernels::SelectedIsa()) {}
+  ~IsaGuard() { kernels::SetIsaForTesting(saved_); }
+
+ private:
+  kernels::Isa saved_;
+};
+
+/// One short training run pinned to a kernel tier: the loss of every
+/// step, then every parameter and the embedding at the end.
+struct PinnedRun {
+  std::vector<double> losses;
+  std::vector<Matrix> params;
+  Matrix z;
+};
+
+PinnedRun TrainPinned(const std::string& name, const AttributedGraph& g,
+                      kernels::Isa isa) {
+  kernels::SetIsaForTesting(isa);
+  auto model = CreateModel(name, g, SmallOptions());
+  const CsrMatrix adj = g.Adjacency();
+  TrainContext ctx = ReconContext(*model, &adj);
+  PinnedRun run;
+  for (int i = 0; i < 4; ++i) run.losses.push_back(model->TrainStep(ctx));
+  if (model->has_clustering_head()) {
+    Rng rng(5);
+    model->InitClusteringHead(3, rng);
+    ctx.include_clustering = true;
+    for (int i = 0; i < 3; ++i) run.losses.push_back(model->TrainStep(ctx));
+  }
+  for (Parameter* p : model->Params()) run.params.push_back(p->value);
+  run.z = model->Embed();
+  return run;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+void ExpectSameBits(const Matrix& got, const Matrix& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(Bits(got.data()[i]), Bits(want.data()[i]))
+        << what << " at flat index " << i;
+  }
+}
+
+TEST_P(ModelZooTest, TrainingIsBitIdenticalAcrossKernelTiers) {
+  // Pretrain steps, then clustering steps where the model has a head, once
+  // on the scalar tier and once on AVX2. N = 150 spans three decoder
+  // tiles, so the tile sweeps, the S-tile MatMulTransB and the encoder
+  // products all run on multi-block shapes.
+  if (kernels::BestSupportedIsa() != kernels::Isa::kAvx2) {
+    GTEST_SKIP() << "host has no AVX2 tier";
+  }
+  const IsaGuard guard;
+  const AttributedGraph g = TestGraph(/*seed=*/1, /*num_nodes=*/150);
+  const PinnedRun scalar = TrainPinned(GetParam(), g, kernels::Isa::kScalar);
+  const PinnedRun avx2 = TrainPinned(GetParam(), g, kernels::Isa::kAvx2);
+  ASSERT_EQ(avx2.losses.size(), scalar.losses.size());
+  for (size_t i = 0; i < scalar.losses.size(); ++i) {
+    EXPECT_EQ(Bits(avx2.losses[i]), Bits(scalar.losses[i]))
+        << "TrainStep " << i << ": " << avx2.losses[i] << " vs "
+        << scalar.losses[i];
+  }
+  ASSERT_EQ(avx2.params.size(), scalar.params.size());
+  for (size_t p = 0; p < scalar.params.size(); ++p) {
+    ExpectSameBits(avx2.params[p], scalar.params[p],
+                   "parameter " + std::to_string(p));
+  }
+  ExpectSameBits(avx2.z, scalar.z, "Embed()");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelZooTest,
