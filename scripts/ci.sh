@@ -46,12 +46,17 @@ cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" --target rgae_concurrency_tests
 
 step "address + undefined-behavior sanitizer build, unit suite"
 # The whole unit suite under -fsanitize=address,undefined (the asan-ubsan
-# preset's settings). ASan aborts on its first report; UBSan only reports
-# and continues by default, so halt_on_error makes a UB report fail too.
+# preset's settings), once on the auto-selected kernel tier and once pinned
+# to the scalar tier, so the model, tape and trainer tests run on both
+# under the sanitizers (kernels_test pins both tiers itself). ASan aborts
+# on its first report; UBSan only reports and continues by default, so
+# halt_on_error makes a UB report fail too.
 cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}-asan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRGAE_SANITIZE=address,undefined
 cmake --build "${BUILD_DIR}-asan" -j "${JOBS}" --target rgae_tests
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  "${BUILD_DIR}-asan/tests/rgae_tests"
+RGAE_KERNEL=scalar UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   "${BUILD_DIR}-asan/tests/rgae_tests"
 
 step "thread-safety analysis build (clang -Wthread-safety)"

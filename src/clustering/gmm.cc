@@ -68,31 +68,35 @@ double RowLogSumExp(double* row, int k, double* sum) {
 
 }  // namespace
 
-Matrix GmmModel::Responsibilities(const Matrix& data) const {
-  Matrix lj = LogJoint(*this, data);
+double GmmModel::EStep(const Matrix& data, Matrix* resp) const {
+  *resp = LogJoint(*this, data);
+  Matrix& lj = *resp;
+  double total = 0.0;
   for (int i = 0; i < lj.rows(); ++i) {
     double sum = 0.0;
-    // A point can be impossibly far from every component (all log joints
-    // -inf after underflow); it gets a uniform row.
-    if (!std::isfinite(RowLogSumExp(lj.row(i), lj.cols(), &sum))) {
+    const double lse = RowLogSumExp(lj.row(i), lj.cols(), &sum);
+    // -inf for a point impossibly far from every component (all log joints
+    // -inf after underflow), so the mean is -inf and EM stops, instead of
+    // NaN; that point gets a uniform row.
+    total += lse;
+    if (!std::isfinite(lse)) {
       for (int c = 0; c < lj.cols(); ++c) lj(i, c) = 1.0 / lj.cols();
       continue;
     }
     for (int c = 0; c < lj.cols(); ++c) lj(i, c) /= sum;
   }
-  return lj;
+  return data.rows() > 0 ? total / data.rows() : 0.0;
+}
+
+Matrix GmmModel::Responsibilities(const Matrix& data) const {
+  Matrix resp;
+  EStep(data, &resp);
+  return resp;
 }
 
 double GmmModel::MeanLogLikelihood(const Matrix& data) const {
-  Matrix lj = LogJoint(*this, data);
-  double total = 0.0;
-  for (int i = 0; i < lj.rows(); ++i) {
-    double sum = 0.0;
-    // -inf for a point impossibly far from every component, so the mean
-    // is -inf and EM stops, instead of NaN.
-    total += RowLogSumExp(lj.row(i), lj.cols(), &sum);
-  }
-  return data.rows() > 0 ? total / data.rows() : 0.0;
+  Matrix resp;
+  return EStep(data, &resp);
 }
 
 std::vector<int> GmmModel::HardAssignments(const Matrix& data) const {
@@ -151,10 +155,12 @@ void EmIterations(GmmModel* model, const Matrix& data, int iterations,
   const int d = model->dim();
   double prev_ll = -1e300;
   int ran = 0;
+  // The E-step of the first iteration; each later one comes with the
+  // previous iteration's mean log-likelihood.
+  Matrix resp;
+  if (iterations > 0) model->EStep(data, &resp);
   for (int it = 0; it < iterations; ++it) {
     ++ran;
-    // E-step.
-    const Matrix resp = model->Responsibilities(data);
     // M-step.
     for (int c = 0; c < k; ++c) {
       double nk = 0.0;
@@ -176,7 +182,7 @@ void EmIterations(GmmModel* model, const Matrix& data, int iterations,
         model->variances(c, j) = std::max(options.min_variance, var / nk);
       }
     }
-    const double ll = model->MeanLogLikelihood(data);
+    const double ll = model->EStep(data, &resp);
     if (ll - prev_ll < options.tolerance) break;
     prev_ll = ll;
   }

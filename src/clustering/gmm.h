@@ -29,6 +29,12 @@ struct GmmModel {
   /// underflow to -inf.
   double MeanLogLikelihood(const Matrix& data) const;
 
+  /// Responsibilities(data) into *resp, returning MeanLogLikelihood(data),
+  /// both bit for bit from one evaluation of the log joints. EM calls it
+  /// once per parameter set: the mean of the parameters it just fitted and
+  /// the responsibilities of its next E-step.
+  double EStep(const Matrix& data, Matrix* resp) const;
+
   /// Hard assignment = argmax responsibility per row.
   std::vector<int> HardAssignments(const Matrix& data) const;
 };

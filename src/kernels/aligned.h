@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -43,6 +44,15 @@ struct AlignedAllocator {
     return static_cast<T*>(p);
   }
   void deallocate(T* p, size_t) { std::free(p); }
+
+  /// Default-initializes instead of value-initializing, so a vector of
+  /// doubles sized with `AlignedVector(n)` or `resize(n)` is left unset:
+  /// every such buffer is written in full before it is read. A fill value,
+  /// as in `AlignedVector(n, 0.0)` and `Matrix(rows, cols)`, still fills.
+  template <typename U>
+  void construct(U* p) {
+    std::uninitialized_default_construct_n(p, 1);
+  }
 
   template <typename U>
   bool operator==(const AlignedAllocator<U>&) const { return true; }

@@ -36,13 +36,6 @@ size_t Packed(int i, int j, int n) {
          static_cast<size_t>(j - i);
 }
 
-/// One entry of S with the ascending, FMA-free chain of MatMulTransB.
-double RowDot(const double* a, const double* b, int d) {
-  double s = 0.0;
-  for (int k = 0; k < d; ++k) s += a[k] * b[k];
-  return s;
-}
-
 /// Advances row `row`'s CSR cursor to the entries with column in
 /// [begin, end) and calls f(col) for each positive (non-zero value) one.
 /// Columns ascend within a row and the sweep visits every row's column
@@ -59,18 +52,33 @@ void ConsumePositives(int row, int begin, int end, const int* row_ptr,
   }
 }
 
+/// Calls f(col) for each positive (non-zero value) entry of row `row`
+/// with column in [begin, end), found by binary search. The forward's
+/// tasks split one row's column tiles across threads, so it cannot keep a
+/// per-row cursor.
+template <typename F>
+void ForEachPositive(int row, int begin, int end, const int* row_ptr,
+                     const int* col_idx, const double* values, F f) {
+  const int* last = col_idx + row_ptr[row + 1];
+  for (const int* p = std::lower_bound(col_idx + row_ptr[row], last, begin);
+       p != last && *p < end; ++p) {
+    if (values[p - col_idx] != 0.0) f(*p);
+  }
+}
+
 }  // namespace
 
 double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
                        const int* col_idx, const double* values,
                        double pos_weight, double* sigma) {
   // One task per upper-triangle tile pair (i0, j0), in row-major order;
-  // each writes its own σ range and its own pair of partial sums.
+  // each writes its own σ range and its own three partial sums.
   std::vector<std::pair<int, int>> tiles;
   for (int i0 = 0; i0 < n; i0 += kTile) {
     for (int j0 = i0; j0 < n; j0 += kTile) tiles.emplace_back(i0, j0);
   }
-  std::vector<double> tile_diag(tiles.size()), tile_upper(tiles.size());
+  std::vector<double> tile_diag(tiles.size()), tile_upper(tiles.size()),
+      tile_pos(tiles.size());
   AlignedVector s_tiles(static_cast<size_t>(ParallelWorkers()) * kTileEntries);
   ParallelFor(static_cast<int>(tiles.size()), [&](int task, int worker) {
     const auto [i0, j0] = tiles[static_cast<size_t>(task)];
@@ -82,39 +90,45 @@ double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
                  z + static_cast<size_t>(j0) * d, s_tile, mi, d, mj);
     double diag = 0.0;
     double upper = 0.0;
+    double pos = 0.0;
     for (int r = 0; r < mi; ++r) {
       const int i = i0 + r;
       const double* s_row = s_tile + static_cast<size_t>(r) * mj;
-      int c = std::max(i - j0, 0);  // First column with j >= i.
+      const int first = std::max(i - j0, 0);  // First column with j >= i.
+      int c = first;
       double* sig = sigma + Packed(i, j0 + c, n);
       if (j0 + c == i) diag += SoftplusSigmoidSweep(s_row + c++, 1, sig++);
       // The row segment's upper pairs: one log1p for all of them.
       upper += SoftplusSigmoidSweep(s_row + c, mj - c, sig);
+      // The row's stored positives with j >= i in this tile: bce(s, 1) =
+      // softplus(s) - s, weighted by pos_weight, replaces the softplus(s)
+      // counted above. The positives are symmetric and s_ji == s_ij, so an
+      // off-diagonal one also stands for its mirror (j, i).
+      ForEachPositive(i, j0 + first, j0 + mj, row_ptr, col_idx, values,
+                      [&](int j) {
+                        const double s = s_row[j - j0];
+                        const double sp = std::log1p(std::exp(-std::abs(s))) +
+                                          std::max(s, 0.0);
+                        const double term = pos_weight * (sp - s) - sp;
+                        pos += j == i ? term : 2.0 * term;
+                      });
     }
     tile_diag[static_cast<size_t>(task)] = diag;
     tile_upper[static_cast<size_t>(task)] = upper;
+    tile_pos[static_cast<size_t>(task)] = pos;
   });
   // The partials fold in tile order, whichever thread produced them.
   double diag = 0.0;
   double upper = 0.0;
+  double pos = 0.0;
   for (size_t t = 0; t < tiles.size(); ++t) {
     diag += tile_diag[t];
     upper += tile_upper[t];
+    pos += tile_pos[t];
   }
-  // Every entry as a negative: bce(s, 0) = softplus(s), and S is symmetric.
-  double loss = diag + 2.0 * upper;
-  // Fix up the stored positives in CSR order, as the unfused loss did:
-  // bce(s, 1) = softplus(s) - s, weighted by pos_weight.
-  for (int i = 0; i < n; ++i) {
-    const double* zi = z + static_cast<size_t>(i) * d;
-    for (int k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      if (values[k] == 0.0) continue;  // Structural zero: stays a negative.
-      const double s = RowDot(zi, z + static_cast<size_t>(col_idx[k]) * d, d);
-      const double sp = std::log1p(std::exp(-std::abs(s))) + std::max(s, 0.0);
-      loss += pos_weight * (sp - s) - sp;
-    }
-  }
-  return loss;
+  // Every entry as a negative: bce(s, 0) = softplus(s), and S is symmetric;
+  // then the positives' correction.
+  return (diag + 2.0 * upper) + pos;
 }
 
 void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,

@@ -135,10 +135,18 @@ double BceSweep(const double* s, int64_t n);
 /// to sigma[i], the unfused Sigmoid's bits. It returns Σ softplus(s_i)
 /// with one log1p for the whole call: m = Π(1 + e_i) - 1 is carried as
 /// m + (e + m·e), which keeps every e below 2⁻⁵³ that a plain product
-/// would round away, and the result is log1p(m) + Σ max(s_i, 0). With
+/// would round away, and the result is log1p(m) + Σ max(s_i, 0), the
+/// positive parts taken from each logit's sign bit, not a branch. With
 /// count == 1 that is log1p(e) + max(s, 0) bit for bit. Requires
 /// 0 <= count <= 1023: each factor is at most 2, so m stays finite.
 double SoftplusSigmoidSweep(const double* s, int count, double* sigma);
+
+/// Tape::Relu's two loops over `n` entries, without a branch on the data.
+/// Relu sets p[i] = std::max(p[i], 0.0) bit for bit (-0.0 and NaN stay).
+/// ReluGrad adds g[i] to ga[i] where value[i] > 0.0 and leaves ga[i]'s
+/// bits untouched elsewhere, even -0.0 or NaN: `if (value > 0) ga += g`.
+void Relu(double* p, int64_t n);
+void ReluGrad(const double* value, const double* g, double* ga, int64_t n);
 
 /// Operator Ξ's per-row top-two scan over p(n,k): lambda1/lambda2 (each
 /// length n) receive the largest and second-largest entry of every row; a
@@ -166,8 +174,12 @@ void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2);
 /// n(n+1)/2 doubles (row i starts at i·n - i(i-1)/2). SoftplusSigmoidSweep
 /// runs each diagonal pair alone and each row segment (a tile row's up to
 /// 64 pairs with j > i) as one call, so the upper pairs take one log1p per
-/// segment. The sum is formed as diag + 2·upper over per-tile partials
-/// folded in row-major tile order, then the positives in CSR order.
+/// segment. Each task also adds its tile's stored positives (i, j >= i),
+/// found by binary search in row i: bce(s, 1) = softplus(s) - s weighted by
+/// pos_weight, less the softplus(s) already counted, taken from the S tile
+/// (once for j == i, twice otherwise, for the mirror (j, i)). The sum is
+/// (diag + 2·upper) + pos over per-tile partials folded in row-major tile
+/// order.
 double InnerProductBce(const double* z, int n, int d, const int* row_ptr,
                        const int* col_idx, const double* values,
                        double pos_weight, double* sigma);

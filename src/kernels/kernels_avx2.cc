@@ -31,10 +31,28 @@ inline __m256d GatherColumn(const double* base, size_t stride, int c) {
                        base[1 * stride + c], base[c]);
 }
 
-/// The micro-GEMM tile: `mr` (≤ kGemmRowBlock) rows of a times all of b,
-/// accumulated into out with register accumulators over 8-column tiles.
-/// Per output element the k-chain is ascending with the aik == 0.0 skip,
-/// i.e. scalar::MatMulRow bit for bit.
+/// Columns j..n-1 of `mr` rows of out += a·b, one output at a time, each
+/// with the ascending k-chain and the aik == 0.0 skip.
+void GemmColumnTail(const double* a, const double* b, double* out, int mr,
+                    int k, int n, int j) {
+  for (; j < n; ++j) {
+    for (int r = 0; r < mr; ++r) {
+      double s = out[static_cast<size_t>(r) * n + j];
+      for (int kk = 0; kk < k; ++kk) {
+        const double aik = a[static_cast<size_t>(r) * k + kk];
+        if (aik == 0.0) continue;
+        s += aik * b[static_cast<size_t>(kk) * n + j];
+      }
+      out[static_cast<size_t>(r) * n + j] = s;
+    }
+  }
+}
+
+/// `mr` (≤ kGemmRowBlock) rows of a times all of b, accumulated into out
+/// over 8-column stripes. Per output element the k-chain is ascending with
+/// the aik == 0.0 skip, i.e. scalar::MatMulRow bit for bit. MatMulRow and
+/// MatMul's last m % 4 rows use it; GCC 12 keeps its accumulator array on
+/// the stack, so full 4-row blocks go through GemmBlock4.
 void GemmRowBlock(const double* a, const double* b, double* out, int mr,
                   int k, int n) {
   int j = 0;
@@ -61,17 +79,56 @@ void GemmRowBlock(const double* a, const double* b, double* out, int mr,
       _mm256_storeu_pd(out + static_cast<size_t>(r) * n + j + 4, acc[r][1]);
     }
   }
-  for (; j < n; ++j) {
-    for (int r = 0; r < mr; ++r) {
-      double s = out[static_cast<size_t>(r) * n + j];
-      for (int kk = 0; kk < k; ++kk) {
-        const double aik = a[static_cast<size_t>(r) * k + kk];
-        if (aik == 0.0) continue;
-        s += aik * b[static_cast<size_t>(kk) * n + j];
-      }
-      out[static_cast<size_t>(r) * n + j] = s;
+  GemmColumnTail(a, b, out, mr, k, n, j);
+}
+
+/// One row's two accumulators of an 8-column stripe: lo/hi += aik·(b0, b1),
+/// a mul then an add, never FMA, skipped when aik == 0.0.
+inline void AddRowStripe(__m256d& lo, __m256d& hi, double aik, __m256d b0,
+                         __m256d b1) {
+  if (aik == 0.0) return;
+  const __m256d av = _mm256_set1_pd(aik);
+  lo = _mm256_add_pd(lo, _mm256_mul_pd(av, b0));
+  hi = _mm256_add_pd(hi, _mm256_mul_pd(av, b1));
+}
+
+/// MatMul's 4-row block: rows 0..3 of a (stride k) times b, accumulated
+/// into four rows of out (stride n). Each 8-column stripe keeps its eight
+/// accumulators in named registers for the whole k loop, like
+/// TransBBlock; every output keeps GemmRowBlock's chain.
+void GemmBlock4(const double* a, const double* b, double* out, int k, int n) {
+  const size_t sk = static_cast<size_t>(k);
+  const size_t sn = static_cast<size_t>(n);
+  int j = 0;
+  for (; j + 8 <= n; j += 8) {
+    double* o = out + j;
+    __m256d r0lo = _mm256_loadu_pd(o);
+    __m256d r0hi = _mm256_loadu_pd(o + 4);
+    __m256d r1lo = _mm256_loadu_pd(o + sn);
+    __m256d r1hi = _mm256_loadu_pd(o + sn + 4);
+    __m256d r2lo = _mm256_loadu_pd(o + 2 * sn);
+    __m256d r2hi = _mm256_loadu_pd(o + 2 * sn + 4);
+    __m256d r3lo = _mm256_loadu_pd(o + 3 * sn);
+    __m256d r3hi = _mm256_loadu_pd(o + 3 * sn + 4);
+    const double* b_row = b + j;
+    for (int kk = 0; kk < k; ++kk, b_row += sn) {
+      const __m256d b0 = _mm256_loadu_pd(b_row);
+      const __m256d b1 = _mm256_loadu_pd(b_row + 4);
+      AddRowStripe(r0lo, r0hi, a[kk], b0, b1);
+      AddRowStripe(r1lo, r1hi, a[sk + kk], b0, b1);
+      AddRowStripe(r2lo, r2hi, a[2 * sk + kk], b0, b1);
+      AddRowStripe(r3lo, r3hi, a[3 * sk + kk], b0, b1);
     }
+    _mm256_storeu_pd(o, r0lo);
+    _mm256_storeu_pd(o + 4, r0hi);
+    _mm256_storeu_pd(o + sn, r1lo);
+    _mm256_storeu_pd(o + sn + 4, r1hi);
+    _mm256_storeu_pd(o + 2 * sn, r2lo);
+    _mm256_storeu_pd(o + 2 * sn + 4, r2hi);
+    _mm256_storeu_pd(o + 3 * sn, r3lo);
+    _mm256_storeu_pd(o + 3 * sn + 4, r3hi);
   }
+  GemmColumnTail(a, b, out, kGemmRowBlock, k, n, j);
 }
 
 }  // namespace
@@ -85,8 +142,8 @@ void MatMul(const double* a, const double* b, double* out, int m, int k,
             int n) {
   int i = 0;
   for (; i + kGemmRowBlock <= m; i += kGemmRowBlock) {
-    GemmRowBlock(a + static_cast<size_t>(i) * k, b,
-                 out + static_cast<size_t>(i) * n, kGemmRowBlock, k, n);
+    GemmBlock4(a + static_cast<size_t>(i) * k, b,
+               out + static_cast<size_t>(i) * n, k, n);
   }
   if (i < m) {
     GemmRowBlock(a + static_cast<size_t>(i) * k, b,

@@ -1,14 +1,17 @@
-// Scalar reference tier, plus the six plain ops that have no vector tier
-// (Sum, SumSquares, Dot, BceSweep, SoftplusSigmoidSweep, TopTwo). Every
-// loop here except the decoder's SoftplusSigmoidSweep is the
-// pre-dispatch implementation moved verbatim from matrix.cc / csr.cc /
-// assignments.cc / optimizer.cc / autograd.cc / operators.cc: same loop
-// order, same zero-skips, same accumulation chains. Golden-number tests pin
-// these bits (DESIGN.md §9), so the AVX2 tier must reproduce them and
-// behaviour changes never land here.
+// Scalar reference tier, plus the eight plain ops that have no vector tier
+// (Sum, SumSquares, Dot, BceSweep, SoftplusSigmoidSweep, Relu, ReluGrad,
+// TopTwo). Every loop here except the decoder's SoftplusSigmoidSweep and
+// the branch-free Relu pair is the pre-dispatch implementation moved
+// verbatim from matrix.cc / csr.cc / assignments.cc / optimizer.cc /
+// autograd.cc / operators.cc: same loop order, same zero-skips, same
+// accumulation chains. Golden-number tests pin these bits (DESIGN.md §9),
+// so the AVX2 tier must reproduce them and behaviour changes never land
+// here.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "src/kernels/kernels.h"
@@ -190,9 +193,35 @@ double SoftplusSigmoidSweep(const double* s, int count, double* sigma) {
     const double e = std::exp(-std::abs(s[i]));
     sigma[i] = (s[i] >= 0.0 ? 1.0 : e) / (1.0 + e);
     m = m + (e + m * e);
-    linear += std::max(s[i], 0.0);
+    // Σ max(s, 0) without a branch on the sign, which flips between
+    // neighbouring logits about half the time: a negative s is cleared by
+    // its own sign bit. For s = -0.0 or -inf this adds +0.0 where max gave
+    // -0.0 or 0.0; linear starts at +0.0 and never becomes -0.0, so the
+    // sum keeps its bits.
+    const int64_t bits = std::bit_cast<int64_t>(s[i]);
+    linear += std::bit_cast<double>(bits & ~(bits >> 63));
   }
   return std::log1p(m) + linear;
+}
+
+void Relu(double* p, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    // std::max(x, 0.0)'s bits, -0.0 and NaN included, from a mask rather
+    // than a branch: x is kept unless x < 0.
+    const uint64_t keep = -static_cast<uint64_t>(!(p[i] < 0.0));
+    p[i] = std::bit_cast<double>(std::bit_cast<uint64_t>(p[i]) & keep);
+  }
+}
+
+void ReluGrad(const double* value, const double* g, double* ga, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    // Selects ga + g where value > 0 and ga's own bits elsewhere, as the
+    // branch `if (value > 0.0) ga += g` does.
+    const uint64_t take = -static_cast<uint64_t>(value[i] > 0.0);
+    const uint64_t sum = std::bit_cast<uint64_t>(ga[i] + g[i]);
+    const uint64_t kept = std::bit_cast<uint64_t>(ga[i]);
+    ga[i] = std::bit_cast<double>((sum & take) | (kept & ~take));
+  }
 }
 
 void TopTwo(const double* p, int n, int k, double* lambda1, double* lambda2) {

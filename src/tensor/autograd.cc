@@ -236,10 +236,7 @@ Var Tape::Relu(Var a) {
   n.op = Op::kRelu;
   n.a = a.id;
   n.value = node(a).value;
-  for (int r = 0; r < n.value.rows(); ++r) {
-    double* p = n.value.row(r);
-    for (int c = 0; c < n.value.cols(); ++c) p[c] = std::max(p[c], 0.0);
-  }
+  kernels::Relu(n.value.data(), static_cast<int64_t>(n.value.size()));
   return {Push(std::move(n)), this};
 }
 
@@ -316,9 +313,10 @@ Var Tape::InnerProductBceLoss(Var z, const CsrMatrix* target,
   n.w2 = norm;
   // σ(s_ij) for j >= i, packed upper triangle: the backward pass's only
   // cache. Neither S nor any other N×N buffer is materialized. Its size
-  // fits in an int: InferInnerProductBce checked it.
+  // fits in an int: InferInnerProductBce checked it. The kernel writes
+  // every entry, so it is not zero-filled first.
   const int64_t pairs = static_cast<int64_t>(nrows) * (nrows + 1) / 2;
-  n.aux = Matrix(1, static_cast<int>(pairs));
+  n.aux = Matrix::Uninitialized(1, static_cast<int>(pairs));
   double loss = 0.0;
   {
     RGAE_TIMED_KERNEL("kernel.inner_product_bce");
@@ -660,12 +658,9 @@ void Tape::BackwardNode(int id) {
       break;
     }
     case Op::kRelu: {
-      Matrix* ga = InputGrad(n.a);
-      if (ga == nullptr) break;
-      for (int r = 0; r < g.rows(); ++r) {
-        for (int c = 0; c < g.cols(); ++c) {
-          if (n.value(r, c) > 0.0) (*ga)(r, c) += g(r, c);
-        }
+      if (Matrix* ga = InputGrad(n.a)) {
+        kernels::ReluGrad(n.value.data(), g.data(), ga->data(),
+                          static_cast<int64_t>(g.size()));
       }
       break;
     }

@@ -30,6 +30,19 @@ class Matrix {
     obs::CountMatrixAlloc(data_.size());
   }
 
+  /// Creates a rows x cols matrix whose entries are left unset, for a
+  /// buffer the caller writes in full before reading it (the decoder's σ
+  /// cache). Counted by memstat like the filling constructor.
+  static Matrix Uninitialized(int rows, int cols) {
+    assert(rows >= 0 && cols >= 0);
+    Matrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.data_.resize(static_cast<size_t>(rows) * cols);
+    obs::CountMatrixAlloc(m.data_.size());
+    return m;
+  }
+
   /// Creates a matrix from a flat row-major buffer (size must be rows*cols).
   /// The entries are copied into aligned storage.
   Matrix(int rows, int cols, const std::vector<double>& data)

@@ -1,10 +1,15 @@
 #include "src/tensor/autograd.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/kernels/kernels.h"
 #include "src/tensor/random.h"
 
 namespace rgae {
@@ -77,6 +82,61 @@ TEST(TapeTest, ReluForwardClampsNegatives) {
   const Var r = tape.Relu(tape.Leaf(&a));
   EXPECT_DOUBLE_EQ(tape.value(r)(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(tape.value(r)(0, 2), 2.0);
+}
+
+TEST(TapeTest, ReluKeepsTheBranchingBits) {
+  // Relu's forward and backward take no branch on the data. Compared as
+  // bit patterns with std::max(x, 0.0) and `if (v > 0.0) ga += g` over ±0,
+  // ±inf, NaN of either sign, subnormals and normals. A second consumer of
+  // x, run first in the backward sweep, seeds x's gradient with NaN where
+  // v <= 0, and those entries must keep it.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double tiny = std::numeric_limits<double>::min();
+  const std::vector<double> xs = {0.0,    -0.0,    inf,    -inf,
+                                  nan,    -nan,    denorm, -denorm,
+                                  1e-310, -1e-310, tiny,   -tiny,
+                                  2.5,    -2.5,    -0.75,  0.75};
+  const int n = static_cast<int>(xs.size());
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  Parameter x(Matrix(1, n, xs));
+  std::vector<double> seed_scale(xs.size(), 1.0);
+  for (int i = 0; i < n; ++i) {
+    if (!(xs[i] > 0.0) && i % 2 == 1) seed_scale[i] = nan;
+  }
+  const Matrix seed_matrix(1, n, seed_scale);
+  const Matrix targets(1, n, 1.0);
+  Tape tape;
+  const Var leaf = tape.Leaf(&x);
+  const Var r = tape.Relu(leaf);
+  const Var h = tape.Hadamard(leaf, tape.Constant(seed_matrix));
+  tape.Backward(tape.AddScalars(tape.BceWithLogits(r, &targets),
+                                tape.BceWithLogits(h, &targets)));
+  for (int i = 0; i < n; ++i) {
+    const double v = tape.value(r)(0, i);
+    ASSERT_EQ(bits(v), bits(std::max(xs[i], 0.0))) << "x=" << xs[i];
+    double want = 0.0 + tape.grad(h)(0, i) * seed_matrix(0, i);
+    if (v > 0.0) want += tape.grad(r)(0, i);
+    EXPECT_EQ(bits(tape.grad(leaf)(0, i)), bits(want)) << "x=" << xs[i];
+  }
+  // The tape's gradient buffers start at +0.0 and only accumulate, so a
+  // -0.0 can reach ReluGrad only through a direct call.
+  std::vector<double> value(xs.size()), ga(xs.size()), g(xs.size());
+  Rng rng(8);
+  for (int i = 0; i < n; ++i) {
+    value[i] = std::max(xs[i], 0.0);
+    g[i] = i % 3 == 0 ? xs[(i + 5) % n] : rng.Gaussian();
+    ga[i] = value[i] > 0.0 ? rng.Gaussian() : (i % 2 == 0 ? -0.0 : nan);
+  }
+  std::vector<double> want = ga;
+  for (int i = 0; i < n; ++i) {
+    if (value[i] > 0.0) want[i] += g[i];
+  }
+  kernels::ReluGrad(value.data(), g.data(), ga.data(), n);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(bits(ga[i]), bits(want[i])) << "value=" << value[i];
+  }
 }
 
 // Scalar reduction helper: builds mean-BCE against an all-ones target,

@@ -1,6 +1,8 @@
 #include "src/clustering/gmm.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -185,6 +187,41 @@ TEST(GmmTest, ImpossiblyFarPointGetsUniformResponsibilities) {
   EXPECT_DOUBLE_EQ(resp(0, 1), 0.5);
   EXPECT_EQ(model.MeanLogLikelihood(data),
             -std::numeric_limits<double>::infinity());
+}
+
+TEST(GmmTest, EStepMatchesResponsibilitiesAndMeanLogLikelihoodBitForBit) {
+  // EM's one evaluation of the log joints per parameter set gives both
+  // public results' bits, including a point whose log joints all
+  // underflow (uniform row, -inf mean). The output matrix starts with a
+  // stale shape and contents, as EM's does from one iteration to the next.
+  Rng rng(31);
+  std::vector<int> truth;
+  Matrix data = TwoBlobs(&truth, rng, 20);
+  const GmmModel fitted = FitGmm(data, 2, rng);
+  for (const bool far_point : {false, true}) {
+    if (far_point) data(7, 1) = 1e200;
+    Matrix resp(3, 5, -1.0);
+    const double mean = fitted.EStep(data, &resp);
+    const Matrix want = fitted.Responsibilities(data);
+    ASSERT_EQ(resp.rows(), want.rows());
+    ASSERT_EQ(resp.cols(), want.cols());
+    for (int i = 0; i < want.rows(); ++i) {
+      for (int c = 0; c < want.cols(); ++c) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(resp(i, c)),
+                  std::bit_cast<uint64_t>(want(i, c)))
+            << "row " << i << " component " << c;
+      }
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(mean),
+              std::bit_cast<uint64_t>(fitted.MeanLogLikelihood(data)));
+    if (far_point) {
+      EXPECT_EQ(resp(7, 0), 0.5);
+      EXPECT_EQ(resp(7, 1), 0.5);
+      EXPECT_EQ(mean, -std::numeric_limits<double>::infinity());
+    } else {
+      EXPECT_TRUE(std::isfinite(mean));
+    }
+  }
 }
 
 TEST(GmmTest, EmOnCollapsedDataStaysFinite) {

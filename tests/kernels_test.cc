@@ -10,10 +10,11 @@
 // replaced: gradient bit-identical, loss within 1e-13 relative (a
 // different summation order, not a different tier). Its per-segment sweep,
 // SoftplusSigmoidSweep, is checked on its own against a long-double
-// per-logit reference. SpMM over CsrMatrix::FromDense(X) is checked
-// against the zero-skipping dense matmuls it replaced in the encoder:
-// bit-identical. Those two and MatMulTransB compare bit patterns, so ±0
-// and NaN outputs count too.
+// per-logit reference and, bit for bit, against the branching loop it
+// replaced. SpMM over CsrMatrix::FromDense(X) is checked against the
+// zero-skipping dense matmuls it replaced in the encoder: bit-identical.
+// Those checks, MatMul and MatMulTransB compare bit patterns, so ±0 and
+// NaN outputs count too.
 //
 // Same-ISA determinism is tolerance 0 for every op: repeated calls on the
 // same inputs must produce the same bits, and the fused decoder's with 1,
@@ -153,23 +154,58 @@ TEST(KernelAlignmentTest, AlignedBufferBytesRoundsUpToWholeLines) {
 }
 
 TEST(KernelEquivalenceTest, MatMulBitIdenticalAcrossIsas) {
+  // Compared as bit patterns. Beyond kMatShapes: the decoder backward's
+  // C·Z tile (64×64 by 64×16); a shape with m % 4 == 0 and an n % 8 tail;
+  // and that shape again with ±inf and NaN in rows of b that only zero
+  // columns of a reach, which the aik == 0.0 skip must hide, and an
+  // all-(−0.0) row of a.
   IsaGuard guard;
   Rng rng(1234);
-  for (const MatShape& s : kMatShapes) {
-    const AlignedVector a =
-        RandomBuffer(static_cast<size_t>(s.m) * s.k, rng, 0.3);
-    const AlignedVector b = RandomBuffer(static_cast<size_t>(s.k) * s.n, rng);
-    AlignedVector want(static_cast<size_t>(s.m) * s.n, 0.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    MatShape s;
+    bool special;
+  };
+  std::vector<Case> cases;
+  for (const MatShape& s : kMatShapes) cases.push_back({s, false});
+  cases.push_back({{64, 64, 16}, false});
+  cases.push_back({{12, 9, 19}, false});
+  cases.push_back({{12, 9, 19}, true});
+  for (const auto& [s, special] : cases) {
+    AlignedVector a = RandomBuffer(static_cast<size_t>(s.m) * s.k, rng, 0.3);
+    AlignedVector b = RandomBuffer(static_cast<size_t>(s.k) * s.n, rng);
+    if (special) {
+      // Columns 2 and 6 of a are zero (+0.0 and -0.0), so rows 2 and 6 of
+      // b never reach an output; row 5 of a is all -0.0.
+      for (int i = 0; i < s.m; ++i) {
+        a[static_cast<size_t>(i) * s.k + 2] = 0.0;
+        a[static_cast<size_t>(i) * s.k + 6] = -0.0;
+      }
+      std::fill_n(a.begin() + 5 * s.k, s.k, -0.0);
+      for (int j = 0; j < s.n; ++j) {
+        b[2 * static_cast<size_t>(s.n) + j] = j % 3 == 0 ? nan : inf;
+        b[6 * static_cast<size_t>(s.n) + j] = j % 2 == 0 ? -inf : nan;
+      }
+    }
+    const size_t outs = static_cast<size_t>(s.m) * s.n;
+    AlignedVector want(outs, 0.0);
     kernels::scalar::MatMul(a.data(), b.data(), want.data(), s.m, s.k, s.n);
+    if (special) {
+      ASSERT_TRUE(std::all_of(want.begin(), want.end(),
+                              [](double v) { return std::isfinite(v); }));
+    }
+    SCOPED_TRACE(::testing::Message() << s.m << "x" << s.k << " by " << s.k
+                                      << "x" << s.n);
     for (Isa isa : kernels::SupportedIsas()) {
       kernels::SetIsaForTesting(isa);
-      AlignedVector got(static_cast<size_t>(s.m) * s.n, 0.0);
+      AlignedVector got(outs, 0.0);
       kernels::MatMul(a.data(), b.data(), got.data(), s.m, s.k, s.n);
-      ExpectBitEqual(got, want, "MatMul", isa);
+      ExpectSameBits(got.data(), want.data(), outs, "MatMul", isa);
       // Same-ISA determinism: a second call reproduces the same bits.
-      AlignedVector again(static_cast<size_t>(s.m) * s.n, 0.0);
+      AlignedVector again(outs, 0.0);
       kernels::MatMul(a.data(), b.data(), again.data(), s.m, s.k, s.n);
-      ExpectBitEqual(again, got, "MatMul(repeat)", isa);
+      ExpectSameBits(again.data(), got.data(), outs, "MatMul(repeat)", isa);
     }
   }
 }
@@ -584,6 +620,44 @@ TEST(KernelOpsTest, SoftplusSigmoidSweepOfOneLogitIsThePerPairSoftplus) {
   EXPECT_EQ(kernels::SoftplusSigmoidSweep(nullptr, 0, nullptr), 0.0);
 }
 
+TEST(KernelOpsTest, SoftplusSigmoidSweepKeepsTheBranchingLoopsBits) {
+  // The positive parts are taken from each logit's sign bit, not from
+  // std::max. On random-sign 64-logit segments, with ±0 and -inf among
+  // them, the loss and every σ carry the bits of the branching loop.
+  const auto branching = [](const double* s, int count, double* sigma) {
+    double m = 0.0;
+    double linear = 0.0;
+    for (int i = 0; i < count; ++i) {
+      const double e = std::exp(-std::abs(s[i]));
+      sigma[i] = (s[i] >= 0.0 ? 1.0 : e) / (1.0 + e);
+      m = m + (e + m * e);
+      linear += std::max(s[i], 0.0);
+    }
+    return std::log1p(m) + linear;
+  };
+  constexpr int kSegment = 64;
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {0.0, -0.0,
+                             -std::numeric_limits<double>::infinity(), denorm,
+                             -denorm};
+  Rng rng(2024);
+  for (int segment = 0; segment < 2000; ++segment) {
+    double s[kSegment], got_sigma[kSegment], want_sigma[kSegment];
+    const double scale = segment % 2 == 0 ? 3.0 : 40.0;
+    for (int i = 0; i < kSegment; ++i) {
+      s[i] = rng.Bernoulli(0.05) ? specials[rng.UniformInt(5)]
+                                 : scale * rng.Gaussian();
+    }
+    const int count = segment % 7 == 0 ? 1 + rng.UniformInt(kSegment)
+                                       : kSegment;
+    const double got = kernels::SoftplusSigmoidSweep(s, count, got_sigma);
+    const double want = branching(s, count, want_sigma);
+    ASSERT_EQ(Bits(got), Bits(want)) << "segment " << segment;
+    ExpectSameBits(got_sigma, want_sigma, static_cast<size_t>(count),
+                   "SoftplusSigmoidSweep(sigma)", Isa::kScalar);
+  }
+}
+
 TEST(KernelOpsTest, SoftplusSigmoidSweepStaysFiniteAtItsLongestSegment) {
   // 1023 zero logits, the contract's limit: every factor of Π(1 + e) is 2,
   // and m = 2^1023 - 1 rounds to 2^1023, still finite.
@@ -643,17 +717,29 @@ AlignedVector DecoderEmbeddings(int n, int d, Rng& rng) {
   return z;
 }
 
-enum class TargetKind { kSymmetric, kEmptyRows, kEmpty };
+enum class TargetKind { kSymmetric, kEmptyRows, kStraddle, kEmpty };
 
 /// Decoder targets, all with symmetric positives (the decoder's contract).
 /// Symmetric: undirected edges plus a self-loop on every node, with
 /// mirrored structural zeros (tv == 0). EmptyRows: ~20% of the nodes have
 /// no entry at all, some others a diagonal positive, and the undirected
-/// edges among the rest carry mirrored structural zeros. Empty: no stored
-/// entry at all.
+/// edges among the rest carry mirrored structural zeros. Straddle (n > 128
+/// only): every off-diagonal positive joins a node of tile 0 to one of
+/// tile 2, so the forward meets it in tile pair (0, 2) and the backward
+/// in both row blocks; plus one diagonal positive and mirrored structural
+/// zeros. Empty: no stored entry at all.
 CsrMatrix DecoderTarget(int n, TargetKind kind, Rng& rng) {
   std::vector<Triplet> t;
-  if (kind == TargetKind::kSymmetric) {
+  if (kind == TargetKind::kStraddle) {
+    for (int e = 0; e < 40; ++e) {
+      const int i = rng.UniformInt(64);
+      const int j = 128 + rng.UniformInt(std::min(n, 192) - 128);
+      const double v = e % 8 == 0 ? 0.0 : 1.0;
+      t.push_back({i, j, v});
+      t.push_back({j, i, v});
+    }
+    t.push_back({70, 70, 1.0});
+  } else if (kind == TargetKind::kSymmetric) {
     for (int i = 0; i < n; ++i) {
       t.push_back({i, i, 1.0});
       for (int e = 0; e < 3; ++e) {
@@ -693,6 +779,8 @@ const char* TargetName(TargetKind kind) {
       return "symmetric";
     case TargetKind::kEmptyRows:
       return "empty-rows";
+    case TargetKind::kStraddle:
+      return "straddle";
     case TargetKind::kEmpty:
       return "empty";
   }
@@ -708,69 +796,73 @@ class WorkersGuard {
 TEST(KernelEquivalenceTest, InnerProductBceMatchesUnfusedComposition) {
   // Gradient: C·Z bit-identical to both unfused MatMul(C, Z) and
   // MatMulTransA(C, Z) on every ISA, C being symmetric. Loss: bit-identical
-  // across ISAs and within 1e-13 relative of the BceSweep-order reference.
-  // Loss, σ and C·Z are also bit-identical with 1 worker, 2 workers and
-  // every worker (0 = all). N spans the tile edges (64-node tiles) and d
-  // the vector tails.
+  // across ISAs and within 1e-13 relative of the BceSweep-order reference,
+  // whose positives are fixed up in CSR order where the fused loss adds
+  // them per tile. Loss, σ and C·Z are also bit-identical with 1 worker,
+  // 2 workers and every worker (0 = all). N spans the tile edges (64-node
+  // tiles), d the vector tails, and pos_weight reaches a Pubmed-like ~190.
   constexpr double kLossRelBound = 1e-13;
   IsaGuard guard;
   WorkersGuard workers_guard;
   Rng rng(424242);
-  const double pos_weight = 3.7;
   const double gs = 0.013;
   int saturated_cases = 0;
   for (const int n : {1, 2, 63, 64, 65, 130, 200}) {
     for (const int d : {1, 3, 16, 17}) {
       const AlignedVector z = DecoderEmbeddings(n, d, rng);
-      for (const TargetKind kind : {TargetKind::kSymmetric,
-                                    TargetKind::kEmptyRows,
-                                    TargetKind::kEmpty}) {
+      for (const TargetKind kind :
+           {TargetKind::kSymmetric, TargetKind::kEmptyRows,
+            TargetKind::kStraddle, TargetKind::kEmpty}) {
+        if (kind == TargetKind::kStraddle && n <= 128) continue;
         const CsrMatrix t = DecoderTarget(n, kind, rng);
-        const UnfusedDecoder want =
-            RunUnfusedDecoder(z, n, d, t, pos_weight, gs);
         const size_t pairs = static_cast<size_t>(n) * (n + 1) / 2;
         AlignedVector s(static_cast<size_t>(n) * n);
         kernels::scalar::MatMulTransB(z.data(), z.data(), s.data(), n, d, n);
         for (double v : s) saturated_cases += std::abs(v) > 745.0;
-        double first_loss = 0.0;
-        AlignedVector first_sigma, first_cz;
-        for (Isa isa : kernels::SupportedIsas()) {
-          kernels::SetIsaForTesting(isa);
-          for (const int workers : {1, 2, 0}) {
-            kernels::SetParallelWorkersForTesting(workers);
-            AlignedVector sigma(pairs, -1.0);
-            const double loss = kernels::InnerProductBce(
-                z.data(), n, d, t.row_ptr().data(), t.col_idx().data(),
-                t.values().data(), pos_weight, sigma.data());
-            AlignedVector cz(static_cast<size_t>(n) * d, 0.0);
-            kernels::InnerProductBceGrad(
-                z.data(), n, d, t.row_ptr().data(), t.col_idx().data(),
-                t.values().data(), pos_weight, gs, sigma.data(), cz.data());
-            SCOPED_TRACE(::testing::Message()
-                         << "n=" << n << " d=" << d << " target="
-                         << TargetName(kind) << " workers=" << workers);
-            // σ of the packed upper triangle, row-major from (0, 0).
-            for (int i = 0, e = 0; i < n; ++i) {
-              for (int j = i; j < n; ++j, ++e) {
-                ASSERT_EQ(sigma[static_cast<size_t>(e)],
-                          UnfusedSigmoid(s[static_cast<size_t>(i) * n + j]))
-                    << "sigma(" << i << "," << j << ") under "
-                    << kernels::IsaName(isa);
+        for (const double pos_weight : {3.7, 190.3}) {
+          const UnfusedDecoder want =
+              RunUnfusedDecoder(z, n, d, t, pos_weight, gs);
+          double first_loss = 0.0;
+          AlignedVector first_sigma, first_cz;
+          for (Isa isa : kernels::SupportedIsas()) {
+            kernels::SetIsaForTesting(isa);
+            for (const int workers : {1, 2, 0}) {
+              kernels::SetParallelWorkersForTesting(workers);
+              AlignedVector sigma(pairs, -1.0);
+              const double loss = kernels::InnerProductBce(
+                  z.data(), n, d, t.row_ptr().data(), t.col_idx().data(),
+                  t.values().data(), pos_weight, sigma.data());
+              AlignedVector cz(static_cast<size_t>(n) * d, 0.0);
+              kernels::InnerProductBceGrad(
+                  z.data(), n, d, t.row_ptr().data(), t.col_idx().data(),
+                  t.values().data(), pos_weight, gs, sigma.data(), cz.data());
+              SCOPED_TRACE(::testing::Message()
+                           << "n=" << n << " d=" << d << " target="
+                           << TargetName(kind) << " pos_weight=" << pos_weight
+                           << " workers=" << workers);
+              // σ of the packed upper triangle, row-major from (0, 0).
+              for (int i = 0, e = 0; i < n; ++i) {
+                for (int j = i; j < n; ++j, ++e) {
+                  ASSERT_EQ(sigma[static_cast<size_t>(e)],
+                            UnfusedSigmoid(s[static_cast<size_t>(i) * n + j]))
+                      << "sigma(" << i << "," << j << ") under "
+                      << kernels::IsaName(isa);
+                }
               }
+              ExpectBitEqual(cz, want.cz, "InnerProductBceGrad vs C*Z", isa);
+              ExpectBitEqual(cz, want.ctz, "InnerProductBceGrad vs Ct*Z", isa);
+              EXPECT_NEAR(loss, want.loss,
+                          kLossRelBound * std::max(1.0, std::abs(want.loss)))
+                  << kernels::IsaName(isa);
+              if (first_sigma.empty()) {
+                first_loss = loss;
+                first_sigma = sigma;
+                first_cz = cz;
+              }
+              EXPECT_EQ(loss, first_loss) << kernels::IsaName(isa);
+              ExpectBitEqual(sigma, first_sigma, "InnerProductBce(sigma)", isa);
+              ExpectBitEqual(cz, first_cz, "InnerProductBceGrad", isa);
             }
-            ExpectBitEqual(cz, want.cz, "InnerProductBceGrad vs C*Z", isa);
-            ExpectBitEqual(cz, want.ctz, "InnerProductBceGrad vs Ct*Z", isa);
-            EXPECT_NEAR(loss, want.loss,
-                        kLossRelBound * std::max(1.0, std::abs(want.loss)))
-                << kernels::IsaName(isa);
-            if (first_sigma.empty()) {
-              first_loss = loss;
-              first_sigma = sigma;
-              first_cz = cz;
-            }
-            EXPECT_EQ(loss, first_loss) << kernels::IsaName(isa);
-            ExpectBitEqual(sigma, first_sigma, "InnerProductBce(sigma)", isa);
-            ExpectBitEqual(cz, first_cz, "InnerProductBceGrad", isa);
           }
         }
       }
