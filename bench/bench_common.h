@@ -14,17 +14,16 @@
 // Either of the first two also turns instrumentation on (unless
 // RGAE_OBS_ENABLED=0 forces it off, the perf-baseline escape hatch).
 //
-// Crash safety (DESIGN.md §5):
+// Crash safety (DESIGN.md §5.1):
 //   --journal=<path>      append every completed trial to a resumable
 //                         `rgae.journal.v1` JSONL journal; re-running with
 //                         the same journal skips the recorded trials and
 //                         replays their outcomes bit-identically
-//   --trial-deadline-s=<v> per-trial wall-clock budget; timed-out trials
-//                         climb the harness retry ladder (eval/harness.h)
-// RGAE_TRIAL_DEADLINE_S / RGAE_TRIAL_RETRIES set the same policy from the
-// environment. SIGINT/SIGTERM request a cooperative stop: the running
-// trial finishes its current epoch, sinks are flushed, and a second signal
-// force-exits.
+// SIGINT/SIGTERM request a cooperative stop: the running trial finishes its
+// current epoch, is neither journaled nor aggregated, sinks are flushed, and
+// a second signal force-exits. A failed trial is reported failed and dropped
+// by `AggregateTrials`; a run that takes too long is stopped with SIGINT and
+// resumed from its journal.
 
 #include <algorithm>
 #include <cmath>
@@ -36,7 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/deadline.h"
+#include "src/core/stop.h"
 #include "src/eval/datasets.h"
 #include "src/eval/harness.h"
 #include "src/eval/run_journal.h"
@@ -121,7 +120,6 @@ class BenchObs {
  public:
   BenchObs(int* argc, char** argv, std::string bench_name)
       : bench_(std::move(bench_name)) {
-    double deadline_flag = 0.0;
     std::string journal_path;
     int out = 1;
     for (int i = 1; i < *argc; ++i) {
@@ -133,8 +131,6 @@ class BenchObs {
         rgae::obs::SetLogJsonlPath(argv[i] + 12);
       } else if (std::strncmp(argv[i], "--journal=", 10) == 0) {
         journal_path = argv[i] + 10;
-      } else if (std::strncmp(argv[i], "--trial-deadline-s=", 19) == 0) {
-        deadline_flag = std::atof(argv[i] + 19);
       } else {
         argv[out++] = argv[i];
       }
@@ -147,17 +143,6 @@ class BenchObs {
       rgae::obs::SetProfileEnabled(true);
     }
     if (!trace_path_.empty()) rgae::obs::SetTraceEnabled(true);
-
-    // The retry ladder is opt-in: with no budget and no retries configured
-    // the policy is inert and the loops behave exactly as without it.
-    rgae::TrialPolicy inert;
-    inert.max_retries = 0;
-    inert.allow_degraded = false;
-    policy_ = rgae::TrialPolicyFromEnv(inert);
-    if (deadline_flag > 0.0) policy_.deadline_seconds = deadline_flag;
-    if (policy_.deadline_seconds > 0.0 || policy_.max_retries > 0) {
-      policy_.allow_degraded = true;
-    }
 
     if (!journal_path.empty()) {
       std::string error;
@@ -245,9 +230,6 @@ class BenchObs {
     return journal_.is_open() ? &journal_ : nullptr;
   }
 
-  /// Effective per-trial failure policy (env + flags; inert by default).
-  const rgae::TrialPolicy& policy() const { return policy_; }
-
  private:
   inline static BenchObs* active_ = nullptr;
 
@@ -257,7 +239,6 @@ class BenchObs {
   std::vector<rgae::obs::JsonValue> trials_;
   std::vector<std::pair<std::string, rgae::obs::JsonValue>> extras_;
   rgae::RunJournal journal_;
-  rgae::TrialPolicy policy_;
 };
 
 inline void RecordTrialReport(const std::string& model,
@@ -280,16 +261,6 @@ struct MethodResult {
   rgae::Aggregate base;
   rgae::Aggregate rvariant;
 };
-
-/// The effective trial policy: the active session's, or an inert one so
-/// bench helpers used without a `BenchObs` behave exactly as before.
-inline rgae::TrialPolicy EffectivePolicy() {
-  if (BenchObs* session = BenchObs::active()) return session->policy();
-  rgae::TrialPolicy inert;
-  inert.max_retries = 0;
-  inert.allow_degraded = false;
-  return inert;
-}
 
 inline rgae::RunJournal* ActiveJournal() {
   BenchObs* session = BenchObs::active();
@@ -319,14 +290,13 @@ inline void JournalTrial(rgae::RunJournal* journal, std::string key,
 
 /// Runs `trials` shared-pretrain couples of `model` on fresh instances of
 /// `dataset` (trial t uses generation seed `t+1`), mutating the config via
-/// `tweak` when non-null. Under an active `BenchObs`: trials run under its
-/// `TrialPolicy`, completed couples are journaled, journaled couples are
-/// skipped on resume (their recorded outcomes are replayed), and a
-/// requested stop ends the loop between trials.
+/// `tweak` when non-null. Under an active `BenchObs`: completed couples are
+/// journaled, journaled couples are skipped on resume (their recorded
+/// outcomes are replayed), and a requested stop ends the loop between
+/// trials.
 inline MethodResult RunCoupleTrials(
     const std::string& model, const std::string& dataset, int trials,
     void (*tweak)(rgae::CoupleConfig*) = nullptr) {
-  const rgae::TrialPolicy policy = EffectivePolicy();
   rgae::RunJournal* journal = ActiveJournal();
   std::vector<rgae::TrialOutcome> base_trials, r_trials;
   for (int t = 0; t < trials; ++t) {
@@ -355,7 +325,7 @@ inline MethodResult RunCoupleTrials(
     } else {
       if (rgae::GlobalStopRequested()) break;
       const rgae::AttributedGraph graph = rgae::MakeDataset(dataset, seed);
-      outcome = RunCoupleWithPolicy(config, graph, policy);
+      outcome = rgae::RunCouple(config, graph);
       // An interrupted couple is a partial run — never journaled, never
       // aggregated; the resumed run re-executes it from scratch.
       if (rgae::GlobalStopRequested()) break;
@@ -376,13 +346,12 @@ inline MethodResult RunCoupleTrials(
 }
 
 /// Runs `trials` single runs of one configuration on fresh `dataset`
-/// instances and aggregates. Journal/policy/stop semantics match
+/// instances and aggregates. Journal and stop semantics match
 /// `RunCoupleTrials`.
 inline rgae::Aggregate RunSingleTrials(
     const std::string& model, const std::string& dataset, int trials,
     bool use_operators,
     void (*tweak)(rgae::TrainerOptions*) = nullptr) {
-  const rgae::TrialPolicy policy = EffectivePolicy();
   rgae::RunJournal* journal = ActiveJournal();
   const char* variant = use_operators ? "r" : "base";
   std::vector<rgae::TrialOutcome> outcomes;
@@ -407,8 +376,7 @@ inline rgae::Aggregate RunSingleTrials(
     } else {
       if (rgae::GlobalStopRequested()) break;
       const rgae::AttributedGraph graph = rgae::MakeDataset(dataset, seed);
-      outcome = RunSingleWithPolicy(model, graph, config.model_options, opts,
-                                    policy);
+      outcome = rgae::RunSingle(model, graph, config.model_options, opts);
       if (rgae::GlobalStopRequested()) break;
       if (journal != nullptr) {
         JournalTrial(journal, std::move(key), model, dataset, variant, t,

@@ -1,5 +1,5 @@
-// Crash-safety driver: a small deterministic trial set run under the full
-// journal / deadline / retry machinery, for the resume and schema tests
+// Crash-safety driver: a small deterministic trial set run under the trial
+// journal and the cooperative stop, for the resume and schema tests
 // (scripts/resume_test.py, scripts/check_bench_json.py --journal).
 //
 // The aggregate lines print doubles with %.17g — an exact round-trip — so
@@ -13,9 +13,8 @@
 namespace {
 
 void PrintAggregate(const char* name, const rgae::Aggregate& a) {
-  std::printf("agg %s trials=%d dropped=%d timed_out=%d retried=%d degraded=%d\n",
-              name, a.num_trials, a.dropped_trials, a.timed_out_trials,
-              a.retried_trials, a.degraded_trials);
+  std::printf("agg %s trials=%d dropped=%d\n", name, a.num_trials,
+              a.dropped_trials);
   std::printf("agg %s best %.17g %.17g %.17g\n", name, a.best.acc, a.best.nmi,
               a.best.ari);
   std::printf("agg %s mean %.17g %.17g %.17g\n", name, a.mean.acc, a.mean.nmi,

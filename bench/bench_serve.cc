@@ -35,13 +35,6 @@ constexpr int kIssuers = 4;    // Concurrent issuer threads.
 constexpr int kMaxBatch = 32;  // Max queries per worker tick.
 constexpr int kHotSet = 32;    // Hot-set size of the warm phase.
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : fallback;
-}
-
 struct PhaseReport {
   std::string name;
   double seconds = 0.0;
@@ -194,7 +187,7 @@ int main(int argc, char** argv) {
   model->InitClusteringHead(num_clusters, head_rng);
   rgae::serve::ModelSnapshot snapshot = model->ExportSnapshot();
 
-  const int queries = EnvInt("RGAE_SERVE_QUERIES", 2000);
+  const int queries = rgae::PositiveIntFromEnv("RGAE_SERVE_QUERIES", 2000);
   rgae::serve::ServeOptions serve_options;
   serve_options.num_workers = kWorkers;
   serve_options.max_batch = kMaxBatch;

@@ -56,15 +56,14 @@ KERNEL_ISAS = ["scalar", "avx2"]
 TRIAL_REQUIRED = [
     "model", "dataset", "variant", "trial", "seed", "seconds", "scores",
     "pretrain_seconds", "cluster_seconds", "cluster_epochs_run", "failed",
-    "failure_reason", "timed_out", "retries", "degraded", "rollbacks",
-    "health_events", "trace",
+    "failure_reason", "timed_out", "rollbacks", "health_events", "trace",
 ]
 
 JOURNAL_REQUIRED = [
     "schema", "key", "model", "dataset", "variant", "trial", "seed",
     "scores", "seconds", "pretrain_seconds", "cluster_seconds",
     "cluster_epochs_run", "failed", "failure_reason", "timed_out",
-    "retries", "degraded", "rollbacks",
+    "rollbacks",
 ]
 
 # EpochRecord fields that are either a number or null — never a sentinel.
@@ -175,11 +174,6 @@ class Checker:
                         "non-null on a successful trial")
         self.expect(isinstance(trial.get("timed_out"), bool),
                     f"{where}.timed_out", "must be a bool")
-        self.expect(isinstance(trial.get("degraded"), bool),
-                    f"{where}.degraded", "must be a bool")
-        retries = trial.get("retries")
-        self.expect(self.is_num(retries) and retries >= 0,
-                    f"{where}.retries", "must be a non-negative number")
         for i, record in enumerate(trial.get("trace") or []):
             self.check_epoch(record, f"{where}.trace[{i}]")
         for i, event in enumerate(trial.get("health_events") or []):
@@ -583,12 +577,11 @@ def check_journal_record(checker, record, where):
     checker.expect(record.get("variant") in ("base", "r"),
                    f"{where}.variant", f"bad variant {record.get('variant')!r}")
     checker.check_scores(record.get("scores", {}), f"{where}.scores")
-    for name in ("failed", "timed_out", "degraded"):
+    for name in ("failed", "timed_out"):
         checker.expect(isinstance(record.get(name), bool),
                        f"{where}.{name}", "must be a bool")
     for name in ("trial", "seed", "seconds", "pretrain_seconds",
-                 "cluster_seconds", "cluster_epochs_run", "retries",
-                 "rollbacks"):
+                 "cluster_seconds", "cluster_epochs_run", "rollbacks"):
         checker.expect(checker.is_num(record.get(name)), f"{where}.{name}",
                        "missing or non-numeric")
     reason = record.get("failure_reason")

@@ -4,14 +4,19 @@
 Usage:
     resume_test.py <bench_crash_safety_binary>
 
-Runs the crash-safety bench three ways and asserts the journal contract:
+Runs the crash-safety bench four times and asserts the journal contract:
 
 1. a reference run with a fresh journal, uninterrupted;
 2. a crashed run with a second journal: RGAE_JOURNAL_CRASH_AFTER=1 makes
    the journal hard-kill the process (std::_Exit(137)) right after the
-   first trial record is durable — the "kill after trial k" scenario;
+   first trial record is durable — the "kill after trial k" scenario.
+   Half a record is then appended to that journal, the footprint of a kill
+   that lands mid-append;
 3. a resume run with the *same* second journal and no crash hook: it must
-   skip/replay the journaled work and complete only the remaining trials.
+   drop the torn tail, skip/replay the journaled work and complete only the
+   remaining trials;
+4. a second resume on that journal: every line must still be a record, so
+   it must replay everything and print the same aggregates.
 
 The bench prints its aggregates with %.17g (exact double round-trip), so
 the reference and resumed aggregate lines are compared *bit-for-bit*.
@@ -34,8 +39,6 @@ def run(binary, journal, crash_after=None):
     env["RGAE_TRIALS"] = TRIALS
     env["RGAE_EPOCH_SCALE"] = EPOCH_SCALE
     env.pop("RGAE_JOURNAL_CRASH_AFTER", None)
-    env.pop("RGAE_TRIAL_DEADLINE_S", None)
-    env.pop("RGAE_TRIAL_RETRIES", None)
     if crash_after is not None:
         env["RGAE_JOURNAL_CRASH_AFTER"] = str(crash_after)
     proc = subprocess.run(
@@ -54,10 +57,32 @@ def agg_lines(stdout):
 def journal_records(path):
     records = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
                 records.append(json.loads(line))
+            except json.JSONDecodeError as e:
+                raise SystemExit(f"FAIL: {path}:{lineno} is not a record: {e}")
     return records
+
+
+def line_count(path):
+    with open(path, encoding="utf-8") as f:
+        return sum(1 for line in f if line.strip())
+
+
+def check_resumed(reference, label, code, out):
+    if code != 0:
+        raise SystemExit(f"FAIL: {label} exited {code}:\n{out}")
+    resumed = agg_lines(out)
+    if resumed != reference:
+        diff = "\n".join(
+            f"  reference: {a}\n  resumed:   {b}"
+            for a, b in zip(reference, resumed) if a != b)
+        raise SystemExit(
+            f"FAIL: {label} aggregates differ from the uninterrupted "
+            f"run:\n{diff}")
 
 
 def main(argv):
@@ -84,19 +109,20 @@ def main(argv):
             raise SystemExit(
                 f"FAIL: expected exactly 1 durable record after the crash, "
                 f"found {len(survivors)}")
+        with open(crash_journal, encoding="utf-8") as f:
+            record_line = f.readline()
+        with open(crash_journal, "a", encoding="utf-8") as f:
+            f.write(record_line[:len(record_line) // 2])
 
         code, resume_out = run(binary, crash_journal)
-        if code != 0:
-            raise SystemExit(f"FAIL: resume run exited {code}:\n{resume_out}")
-        resumed = agg_lines(resume_out)
-
-        if resumed != reference:
-            diff = "\n".join(
-                f"  reference: {a}\n  resumed:   {b}"
-                for a, b in zip(reference, resumed) if a != b)
+        check_resumed(reference, "resume run", code, resume_out)
+        resumed_lines = line_count(crash_journal)
+        code, resume_out = run(binary, crash_journal)
+        check_resumed(reference, "second resume run", code, resume_out)
+        if line_count(crash_journal) != resumed_lines:
             raise SystemExit(
-                "FAIL: resumed aggregates differ from the uninterrupted "
-                f"run:\n{diff}")
+                "FAIL: the second resume re-ran trials the first one had "
+                "journaled")
 
         # The resumed journal must cover every trial the reference run did
         # (keyed identically), with the crashed half re-journaled.
@@ -108,8 +134,9 @@ def main(argv):
                 f"{sorted(ref_keys - resumed_keys)} only-resumed="
                 f"{sorted(resumed_keys - ref_keys)}")
 
-    print(f"OK: resumed aggregates bit-identical across "
-          f"{len(reference)} aggregate line(s), {len(ref_keys)} trial key(s)")
+    print(f"OK: resumed aggregates bit-identical across a crash, a torn "
+          f"tail and two resumes: {len(reference)} aggregate line(s), "
+          f"{len(ref_keys)} trial key(s)")
     return 0
 
 

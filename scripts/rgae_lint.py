@@ -3,9 +3,9 @@
 
 Enforces invariants that generic tools do not know about:
 
-  R1 determinism   -- no wall-clock or ambient-RNG calls outside
-                      src/core/deadline.*. Every stochastic component takes
-                      an explicit seeded Rng; every timing component uses
+  R1 determinism   -- no wall-clock or ambient-RNG calls in src/ or
+                      bench/. Every stochastic component takes an explicit
+                      seeded Rng; every timing component uses
                       std::chrono::steady_clock. (std::rand, srand,
                       random_device, system_clock, localtime, time(...),
                       clock() are all banned.)
@@ -28,10 +28,9 @@ Enforces invariants that generic tools do not know about:
                       deliberately leaves locking to its caller opts out by
                       carrying an `Externally synchronized` comment in the
                       .cc file or its paired header (ForwardEngine does).
-  R8 timing        -- in src/ (outside src/obs/ and src/core/deadline.*),
-                      raw monotonic-clock reads (steady_clock::now,
-                      high_resolution_clock::now, Clock::now, NowMicros)
-                      are banned: timing must flow through the RGAE_SPAN /
+  R8 timing        -- in src/ (outside src/obs/), raw monotonic-clock
+                      reads (steady_clock::now, high_resolution_clock::now,
+                      Clock::now, NowMicros) are banned: timing must flow through the RGAE_SPAN /
                       RGAE_TIMED_KERNEL macros so the profiler and metrics
                       see it. Product timestamps that are data rather than
                       instrumentation (phase seconds on TrainResult,
@@ -81,7 +80,6 @@ EXTS = (".h", ".cc")
 
 # R1 applies to library and bench code; tests may construct edge cases.
 DETERMINISM_DIRS = ("src", "bench")
-DETERMINISM_ALLOW = ("src/core/deadline.h", "src/core/deadline.cc")
 DETERMINISM_TOKENS = [
     (re.compile(r"\bstd::rand\b"), "std::rand"),
     (re.compile(r"\bsrand\s*\("), "srand"),
@@ -128,11 +126,9 @@ SERVE_WRITE_RE = re.compile(
 )
 
 # R8: raw clock reads in src/ must go through the obs macros. src/obs/ is
-# the implementation of those macros; src/core/deadline.* owns deadline
-# arithmetic (and is already the R1 carve-out).
+# the implementation of those macros.
 TIMING_SCOPE = "src/"
 TIMING_ALLOW_PREFIXES = ("src/obs/",)
-TIMING_ALLOW_FILES = ("src/core/deadline.h", "src/core/deadline.cc")
 TIMING_RE = re.compile(
     r"\b(?:steady_clock|high_resolution_clock|[A-Za-z_]\w*Clock)\s*::\s*"
     r"now\s*\(|\bNowMicros\s*\("
@@ -251,7 +247,7 @@ def lint_timing(rel, raw_lines, code_lines, findings):
     RGAE_TIMED_KERNEL (or carry a `// Raw timing:` opt-out nearby)."""
     if not rel.startswith(TIMING_SCOPE):
         return
-    if rel.startswith(TIMING_ALLOW_PREFIXES) or rel in TIMING_ALLOW_FILES:
+    if rel.startswith(TIMING_ALLOW_PREFIXES):
         return
     for i, code in enumerate(code_lines):
         if not TIMING_RE.search(code):
@@ -339,10 +335,8 @@ def lint_file(root, rel, findings):
         for m in UNORDERED_DECL_RE.finditer(code):
             unordered_names.add(m.group(1))
 
-    in_determinism_scope = (
-        rel.startswith(tuple(d + "/" for d in DETERMINISM_DIRS))
-        and rel not in DETERMINISM_ALLOW
-    )
+    in_determinism_scope = rel.startswith(
+        tuple(d + "/" for d in DETERMINISM_DIRS))
 
     for lineno, (raw, code) in enumerate(zip(raw_lines, code_lines), 1):
         loc = f"{rel}:{lineno}"
@@ -352,8 +346,7 @@ def lint_file(root, rel, findings):
                 if pattern.search(code):
                     findings.append(
                         f"{loc}: [R1] nondeterministic call ({name}); use a "
-                        "seeded Rng or steady_clock (core/deadline owns "
-                        "wall-clock access)"
+                        "seeded Rng or steady_clock"
                     )
 
         m = RANGE_FOR_RE.search(code)
@@ -440,20 +433,6 @@ SELF_TEST_FIXTURES = [
         "}  // namespace rgae\n",
         ["R1"],
         [],
-    ),
-    (
-        # core/deadline owns wall-clock access.
-        "src/core/deadline.cc",
-        '#include "src/core/deadline.h"\n'
-        "#include <chrono>\n"
-        "namespace rgae {\n"
-        "long WallSeconds() {\n"
-        "  return std::chrono::duration_cast<std::chrono::seconds>(\n"
-        "      std::chrono::system_clock::now().time_since_epoch()).count();\n"
-        "}\n"
-        "}  // namespace rgae\n",
-        [],
-        ["R1"],
     ),
     (
         "src/fix/unordered_iter.cc",

@@ -1,8 +1,6 @@
 #include "src/core/fault_injection.h"
 
-#include <chrono>
 #include <limits>
-#include <thread>
 
 #include "src/models/model.h"
 
@@ -16,8 +14,6 @@ const char* FaultTypeName(FaultEvent::Type type) {
       return "lr-spike";
     case FaultEvent::Type::kCorruptGradient:
       return "corrupt-gradient";
-    case FaultEvent::Type::kSlowEpoch:
-      return "slow-epoch";
   }
   return "unknown";
 }
@@ -61,12 +57,6 @@ int FaultInjector::Apply(bool pretrain, int epoch, GaeModel* model) {
           v[i] += s.event.magnitude * rng_.Gaussian();
         }
         line += " in " + p->value.ShapeString();
-        break;
-      }
-      case FaultEvent::Type::kSlowEpoch: {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            s.event.magnitude));
-        line += " " + std::to_string(s.event.magnitude) + "ms";
         break;
       }
     }

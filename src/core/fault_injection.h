@@ -24,13 +24,6 @@ struct FaultEvent {
     /// Add `magnitude`-scaled random noise to one parameter block, the
     /// footprint of a corrupted gradient having been applied.
     kCorruptGradient,
-    /// Stall the epoch for `magnitude` milliseconds of wall time, the
-    /// footprint of a hung data source or an overloaded machine. Drives
-    /// the trainer's per-trial `Deadline` deterministically in tests:
-    /// a persistent slow-epoch fault times out every full-length attempt
-    /// while a reduced-epoch "degraded" retry never reaches the stalled
-    /// epoch and completes in budget.
-    kSlowEpoch,
   };
 
   Type type = Type::kNanWeight;

@@ -9,6 +9,7 @@
 #include "src/clustering/gmm.h"
 #include "src/clustering/kmeans.h"
 #include "src/core/fault_injection.h"
+#include "src/core/stop.h"
 #include "src/metrics/fr_fd.h"
 #include "src/metrics/hungarian.h"
 #include "src/obs/log.h"
@@ -212,18 +213,16 @@ bool RGaeTrainer::RecoverOrFail(const HealthVerdict& verdict, bool pretrain,
   return false;
 }
 
-bool RGaeTrainer::DeadlineExpired(bool pretrain, int epoch) {
-  const bool stop = GlobalStopRequested();
-  if (!stop && !options_.deadline.expired()) return false;
+bool RGaeTrainer::StopRequested(bool pretrain, int epoch) {
+  if (!GlobalStopRequested()) return false;
   timed_out_ = true;
-  RGAE_COUNT("trainer.timeouts");
+  RGAE_COUNT("trainer.stops");
   RGAE_LOG(kWarn)
-      .Event("trainer.deadline")
+      .Event("trainer.stop")
       .Field("trial", options_.trial_id)
       .Field("phase", pretrain ? "pretrain" : "cluster")
       .Field("epoch", epoch)
-      .Field("cause", stop ? "interrupted" : "deadline")
-      .Msg("trial budget exhausted; stopping at epoch boundary");
+      .Msg("stop requested; stopping at epoch boundary");
   return true;
 }
 
@@ -239,7 +238,7 @@ bool RGaeTrainer::Pretrain() {
 
   int epoch = 0;
   while (epoch < options_.pretrain_epochs) {
-    if (timed_out_ || DeadlineExpired(/*pretrain=*/true, epoch)) break;
+    if (timed_out_ || StopRequested(/*pretrain=*/true, epoch)) break;
     RGAE_SPAN("epoch.pretrain");
     RGAE_COUNT("trainer.epochs.pretrain");
     // First-group R-models: gradually transform the reconstruction target
@@ -319,7 +318,7 @@ TrainResult RGaeTrainer::TrainClustering() {
 
   int epoch = 0;
   while (epoch < options_.max_cluster_epochs) {
-    if (timed_out_ || DeadlineExpired(/*pretrain=*/false, epoch)) break;
+    if (timed_out_ || StopRequested(/*pretrain=*/false, epoch)) break;
     RGAE_SPAN("epoch.cluster");
     RGAE_COUNT("trainer.epochs.cluster");
     const bool xi_active =

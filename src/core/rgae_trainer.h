@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/core/checkpoint.h"
-#include "src/core/deadline.h"
 #include "src/core/health.h"
 #include "src/core/operators.h"
 #include "src/metrics/clustering_metrics.h"
@@ -87,14 +86,6 @@ struct TrainerOptions {
   /// so rollback/failure events are attributable to their trial.
   int trial_id = -1;
 
-  /// Wall-clock budget for the whole trial (both phases share it), checked
-  /// at epoch boundaries only. When it expires the current phase stops at
-  /// the next boundary and the trial returns a partial `TrainResult` with
-  /// `timed_out` set — it never hangs a table bench. The harness's retry
-  /// ladder (see eval/harness.h) decides what happens to such a trial.
-  /// Default: unlimited.
-  Deadline deadline;
-
   uint64_t seed = 7;
 };
 
@@ -137,10 +128,11 @@ struct TrainResult {
   /// and `AggregateTrials` excludes the trial.
   bool failed = false;
   std::string failure_reason;
-  /// True when `TrainerOptions::deadline` expired (or a global stop was
-  /// requested) before the schedule completed: the run stopped at an epoch
-  /// boundary and the scores reflect the partial state reached by then.
-  /// Orthogonal to `failed` — a timed-out run is numerically healthy.
+  /// True when a global stop was requested (core/stop.h, the bench
+  /// binaries' SIGINT/SIGTERM handler) before the schedule completed: the
+  /// run stopped at an epoch boundary and the scores reflect the partial
+  /// state reached by then. Orthogonal to `failed` — a stopped run is
+  /// numerically healthy.
   bool timed_out = false;
   /// Number of checkpoint rollbacks performed across both phases.
   int rollbacks = 0;
@@ -240,9 +232,9 @@ class RGaeTrainer {
   ReconTarget recon_;
   std::vector<int> all_nodes_;
 
-  // True once the deadline / global-stop check tripped at an epoch
-  // boundary; returns true so the caller can log the budget event once.
-  bool DeadlineExpired(bool pretrain, int epoch);
+  // True once a global stop was requested; checked at epoch boundaries.
+  // The first positive check marks the run timed out and logs the stop.
+  bool StopRequested(bool pretrain, int epoch);
 
   // Resilience outcome, accumulated across phases.
   bool failed_ = false;

@@ -1,4 +1,4 @@
-#include "src/core/deadline.h"
+#include "src/core/stop.h"
 
 #include <atomic>
 

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "src/obs/log.h"
-#include "src/obs/trace.h"
 
 namespace rgae {
 
@@ -21,9 +22,14 @@ double Seconds(std::chrono::steady_clock::time_point begin) {
       .count();
 }
 
+// Epoch count times the RGAE_EPOCH_SCALE multiplier, at least 1 and
+// saturating at INT_MAX instead of casting an out-of-range double.
 int ScaledEpochs(int epochs) {
-  const double scale = EpochScaleFromEnv();
-  return std::max(1, static_cast<int>(epochs * scale));
+  const double scaled = epochs * EpochScaleFromEnv();
+  if (scaled >= static_cast<double>(std::numeric_limits<int>::max())) {
+    return std::numeric_limits<int>::max();
+  }
+  return std::max(1, static_cast<int>(scaled));
 }
 
 // Copies the train result plus its failure state into a trial outcome, so
@@ -39,93 +45,31 @@ TrialOutcome MakeOutcome(TrainResult result) {
   return outcome;
 }
 
-// An attempt's outcome is usable when the run neither gave up numerically
-// nor ran out of wall clock; anything else climbs the ladder.
-bool AttemptOk(const TrialOutcome& outcome) {
-  return !outcome.failed && !outcome.timed_out;
-}
-
-int ScaleEpochs(int epochs, double fraction) {
-  return std::max(1, static_cast<int>(epochs * fraction));
-}
-
-// Trainer options of ladder attempt `attempt` (0 = the original run):
-// deterministically perturbed seed, a fresh per-attempt deadline, and — on
-// the degraded rung — reduced epoch counts.
-TrainerOptions AttemptTrainerOptions(const TrainerOptions& base,
-                                     const TrialPolicy& policy, int attempt,
-                                     bool degraded) {
-  TrainerOptions t = base;
-  t.seed = base.seed + static_cast<uint64_t>(attempt) * kSeedPerturbation;
-  t.deadline = Deadline::After(policy.deadline_seconds);
-  if (degraded) {
-    t.pretrain_epochs =
-        ScaleEpochs(t.pretrain_epochs, policy.degraded_epoch_fraction);
-    t.max_cluster_epochs =
-        ScaleEpochs(t.max_cluster_epochs, policy.degraded_epoch_fraction);
-    // The first-group transform start scales with its phase so the R-model
-    // protocol keeps the same shape inside the shrunken schedule.
-    t.first_group_transform_start = static_cast<int>(
-        t.first_group_transform_start * policy.degraded_epoch_fraction);
-  }
-  return t;
-}
-
-// Stamps the ladder accounting onto the outcome that leaves the ladder.
-void StampLadder(TrialOutcome* outcome, int retries, bool degraded) {
-  outcome->retries = retries;
-  outcome->degraded = degraded;
-}
-
-// Final rung: the trial is dropped with a structured reason naming every
-// rung it burned through.
-void DropTrial(TrialOutcome* outcome, int attempts, bool degraded_tried,
-               int trial_id) {
-  const std::string cause = outcome->timed_out
-                                ? "deadline exceeded"
-                                : (outcome->failure_reason.empty()
-                                       ? "run failed"
-                                       : outcome->failure_reason);
-  outcome->failed = true;
-  outcome->failure_reason =
-      "dropped after " + std::to_string(attempts) + " attempt(s)" +
-      (degraded_tried ? " incl. degraded mode" : "") + ": " + cause;
-  RGAE_COUNT("harness.dropped_trials");
-  RGAE_LOG(kError)
-      .Event("harness.trial_dropped")
-      .Field("trial", trial_id)
-      .Field("attempts", attempts)
-      .Field("degraded_tried", degraded_tried)
-      .Field("timed_out", outcome->timed_out)
-      .Msg(outcome->failure_reason);
-}
-
 }  // namespace
 
-TrialPolicy TrialPolicyFromEnv(TrialPolicy defaults) {
-  if (const char* env = std::getenv("RGAE_TRIAL_DEADLINE_S")) {
-    const double v = std::atof(env);
-    if (v > 0.0) defaults.deadline_seconds = v;
+int PositiveIntFromEnv(const char* name, int fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(env, &end, 10);
+  if (errno != 0 || *end != '\0' || v <= 0 ||
+      v > std::numeric_limits<int>::max()) {
+    return fallback;
   }
-  if (const char* env = std::getenv("RGAE_TRIAL_RETRIES")) {
-    const int v = std::atoi(env);
-    if (v >= 0) defaults.max_retries = v;
-  }
-  return defaults;
+  return static_cast<int>(v);
 }
 
 int NumTrialsFromEnv(int default_trials) {
-  const char* env = std::getenv("RGAE_TRIALS");
-  if (env == nullptr) return default_trials;
-  const int v = std::atoi(env);
-  return v > 0 ? v : default_trials;
+  return PositiveIntFromEnv("RGAE_TRIALS", default_trials);
 }
 
 double EpochScaleFromEnv() {
   const char* env = std::getenv("RGAE_EPOCH_SCALE");
-  if (env == nullptr) return 1.0;
-  const double v = std::atof(env);
-  return v > 0.0 ? v : 1.0;
+  if (env == nullptr || *env == '\0') return 1.0;
+  char* end = nullptr;
+  const double v = std::strtod(env, &end);
+  return *end == '\0' && std::isfinite(v) && v > 0.0 ? v : 1.0;
 }
 
 CoupleConfig MakeCoupleConfig(const std::string& model_name,
@@ -219,125 +163,11 @@ CoupleOutcome RunCouple(const CoupleConfig& config,
   return outcome;
 }
 
-TrialOutcome RunSingleWithPolicy(const std::string& model_name,
-                                 const AttributedGraph& graph,
-                                 const ModelOptions& model_options,
-                                 const TrainerOptions& trainer,
-                                 const TrialPolicy& policy) {
-  TrialOutcome outcome;
-  int attempt = 0;
-  for (; attempt <= policy.max_retries; ++attempt) {
-    ModelOptions m = model_options;
-    m.seed += static_cast<uint64_t>(attempt) * kSeedPerturbation;
-    const TrainerOptions t =
-        AttemptTrainerOptions(trainer, policy, attempt, /*degraded=*/false);
-    outcome = RunSingle(model_name, graph, m, t);
-    if (AttemptOk(outcome) || GlobalStopRequested()) {
-      StampLadder(&outcome, attempt, /*degraded=*/false);
-      return outcome;
-    }
-    // An inert ladder (no retries, no degraded rung) passes the outcome
-    // through untouched, so unconfigured benches behave exactly as before.
-    if (policy.max_retries == 0 && !policy.allow_degraded) return outcome;
-    RGAE_COUNT("harness.retries");
-    RGAE_LOG(kWarn)
-        .Event("harness.trial_retry")
-        .Field("trial", trainer.trial_id)
-        .Field("attempt", attempt)
-        .Field("timed_out", outcome.timed_out)
-        .Msg(outcome.failure_reason.empty() ? "attempt failed; retrying"
-                                            : outcome.failure_reason);
-  }
-  if (policy.allow_degraded) {
-    ModelOptions m = model_options;
-    m.seed += static_cast<uint64_t>(attempt) * kSeedPerturbation;
-    const TrainerOptions t =
-        AttemptTrainerOptions(trainer, policy, attempt, /*degraded=*/true);
-    outcome = RunSingle(model_name, graph, m, t);
-    StampLadder(&outcome, attempt, /*degraded=*/true);
-    if (AttemptOk(outcome) || GlobalStopRequested()) {
-      RGAE_COUNT("harness.degraded_runs");
-      return outcome;
-    }
-    ++attempt;
-  } else {
-    StampLadder(&outcome, attempt - 1, /*degraded=*/false);
-  }
-  DropTrial(&outcome, attempt, policy.allow_degraded, trainer.trial_id);
-  return outcome;
-}
-
-CoupleOutcome RunCoupleWithPolicy(const CoupleConfig& config,
-                                  const AttributedGraph& graph,
-                                  const TrialPolicy& policy) {
-  // The couple climbs the ladder as a unit: both halves re-run under the
-  // same perturbed seed, keeping the shared-pretrain comparison honest.
-  auto attempt_config = [&](int attempt, bool degraded) {
-    CoupleConfig c = config;
-    c.model_options.seed += static_cast<uint64_t>(attempt) * kSeedPerturbation;
-    c.base = AttemptTrainerOptions(config.base, policy, attempt, degraded);
-    c.rvariant =
-        AttemptTrainerOptions(config.rvariant, policy, attempt, degraded);
-    return c;
-  };
-  auto couple_ok = [](const CoupleOutcome& o) {
-    return AttemptOk(o.base) && AttemptOk(o.rmodel);
-  };
-
-  CoupleOutcome outcome;
-  int attempt = 0;
-  for (; attempt <= policy.max_retries; ++attempt) {
-    outcome = RunCouple(attempt_config(attempt, /*degraded=*/false), graph);
-    if (couple_ok(outcome) || GlobalStopRequested()) {
-      StampLadder(&outcome.base, attempt, /*degraded=*/false);
-      StampLadder(&outcome.rmodel, attempt, /*degraded=*/false);
-      return outcome;
-    }
-    // Inert ladder: pass failures through untouched (see RunSingleWithPolicy).
-    if (policy.max_retries == 0 && !policy.allow_degraded) return outcome;
-    RGAE_COUNT("harness.retries");
-    RGAE_LOG(kWarn)
-        .Event("harness.couple_retry")
-        .Field("trial", config.base.trial_id)
-        .Field("attempt", attempt)
-        .Field("base_ok", AttemptOk(outcome.base))
-        .Field("rmodel_ok", AttemptOk(outcome.rmodel))
-        .Msg("couple attempt failed; retrying both halves");
-  }
-  if (policy.allow_degraded) {
-    outcome = RunCouple(attempt_config(attempt, /*degraded=*/true), graph);
-    StampLadder(&outcome.base, attempt, /*degraded=*/true);
-    StampLadder(&outcome.rmodel, attempt, /*degraded=*/true);
-    if (couple_ok(outcome) || GlobalStopRequested()) {
-      RGAE_COUNT("harness.degraded_runs");
-      return outcome;
-    }
-    ++attempt;
-  } else {
-    StampLadder(&outcome.base, attempt - 1, /*degraded=*/false);
-    StampLadder(&outcome.rmodel, attempt - 1, /*degraded=*/false);
-  }
-  // Only the halves that are actually unusable get dropped; a healthy half
-  // of a partially-failed couple still feeds its table column.
-  if (!AttemptOk(outcome.base)) {
-    DropTrial(&outcome.base, attempt, policy.allow_degraded,
-              config.base.trial_id);
-  }
-  if (!AttemptOk(outcome.rmodel)) {
-    DropTrial(&outcome.rmodel, attempt, policy.allow_degraded,
-              config.rvariant.trial_id);
-  }
-  return outcome;
-}
-
 Aggregate AggregateTrials(const std::vector<TrialOutcome>& trials) {
   Aggregate agg;
   std::vector<const TrialOutcome*> alive;
   alive.reserve(trials.size());
   for (const TrialOutcome& t : trials) {
-    if (t.timed_out) ++agg.timed_out_trials;
-    if (t.retries > 0) ++agg.retried_trials;
-    if (t.degraded) ++agg.degraded_trials;
     if (t.failed) {
       ++agg.dropped_trials;
     } else {

@@ -29,19 +29,14 @@ struct TrialOutcome {
   double seconds = 0.0;
   TrainResult result;
   /// True when the trainer's resilience layer gave up on the run (see
-  /// `TrainResult::failed`) or the harness dropped the trial after
-  /// exhausting its retry ladder; `AggregateTrials` drops such trials.
+  /// `TrainResult::failed`), or, for the R half of a second-group couple,
+  /// when the shared pretraining failed; `AggregateTrials` drops such
+  /// trials.
   bool failed = false;
   std::string failure_reason;
-  /// True when the final attempt hit its wall-clock `Deadline` (the scores
-  /// are a partial-state evaluation, see `TrainResult::timed_out`).
+  /// True when a global stop request ended the run early (the scores are a
+  /// partial-state evaluation, see `TrainResult::timed_out`).
   bool timed_out = false;
-  /// Number of extra attempts the harness's retry ladder consumed before
-  /// producing this outcome (0 = first attempt succeeded).
-  int retries = 0;
-  /// True when the outcome came from the reduced-epoch "degraded" rung of
-  /// the retry ladder rather than a full-length run.
-  bool degraded = false;
 };
 
 /// Outcomes of the base model and its R-variant for one shared-pretrain
@@ -75,58 +70,6 @@ TrialOutcome RunSingle(const std::string& model_name,
                        const ModelOptions& model_options,
                        const TrainerOptions& trainer);
 
-/// Failure-handling policy of the multi-trial harness — the layer above
-/// `ResilienceOptions` (which recovers *within* a run). A trial whose run
-/// comes back `failed` or `timed_out` climbs a bounded ladder:
-///
-///   1. up to `max_retries` full re-runs, each under a fresh deadline and a
-///      deterministically perturbed seed (attempt `a` trains with
-///      `seed + a * kSeedPerturbation`, so retries are reproducible yet
-///      escape seed-specific numerical accidents);
-///   2. one "degraded" re-run with epoch counts scaled by
-///      `degraded_epoch_fraction` (when `allow_degraded`), cheap enough to
-///      fit a budget the full schedule kept blowing;
-///   3. otherwise the trial is dropped with a structured reason
-///      (`TrialOutcome::failed` + `failure_reason`).
-///
-/// Every rung is counted: `TrialOutcome::{retries, degraded, timed_out}`
-/// feed the `Aggregate` counters and the bench run report.
-struct TrialPolicy {
-  /// Per-attempt wall-clock budget in seconds; <= 0 means unlimited.
-  double deadline_seconds = 0.0;
-  /// Full-length re-runs of a failed/timed-out trial.
-  int max_retries = 2;
-  /// Escalate to one reduced-epoch attempt after the retries run out.
-  bool allow_degraded = true;
-  /// Epoch-count multiplier of the degraded attempt.
-  double degraded_epoch_fraction = 0.25;
-};
-
-/// Seed offset between retry attempts (a large odd constant, so perturbed
-/// seeds never collide with the harness's own trial-seed schedule).
-inline constexpr uint64_t kSeedPerturbation = 0x9E3779B97F4A7C15ULL;
-
-/// Reads RGAE_TRIAL_DEADLINE_S / RGAE_TRIAL_RETRIES on top of the given
-/// defaults, so any bench run can be given per-trial budgets without code
-/// changes.
-TrialPolicy TrialPolicyFromEnv(TrialPolicy defaults = {});
-
-/// `RunSingle` under a `TrialPolicy`: applies the deadline to every
-/// attempt and walks the retry/degraded ladder on failure or timeout.
-TrialOutcome RunSingleWithPolicy(const std::string& model_name,
-                                 const AttributedGraph& graph,
-                                 const ModelOptions& model_options,
-                                 const TrainerOptions& trainer,
-                                 const TrialPolicy& policy);
-
-/// `RunCouple` under a `TrialPolicy`. The couple is retried as a unit
-/// (both halves re-run with the same perturbed seed) so the shared-pretrain
-/// protocol — identical weights before the clustering phase — survives the
-/// ladder; a half that still fails after the ladder is reported failed.
-CoupleOutcome RunCoupleWithPolicy(const CoupleConfig& config,
-                                  const AttributedGraph& graph,
-                                  const TrialPolicy& policy);
-
 /// Best / mean / standard deviation across trials.
 struct Aggregate {
   ClusteringScores best;
@@ -142,12 +85,6 @@ struct Aggregate {
   /// Trials that survived aggregation / trials dropped as failed.
   int num_trials = 0;
   int dropped_trials = 0;
-  /// Retry-ladder accounting across *all* trials (dropped ones included):
-  /// trials whose final attempt hit its deadline, trials that consumed at
-  /// least one retry, and trials answered by the degraded rung.
-  int timed_out_trials = 0;
-  int retried_trials = 0;
-  int degraded_trials = 0;
 };
 
 /// Aggregates trial outcomes; "best" is the trial with the highest ACC.
@@ -159,9 +96,15 @@ Aggregate AggregateTrials(const std::vector<TrialOutcome>& trials);
 
 /// Environment-controlled effort scaling: reads RGAE_TRIALS /
 /// RGAE_EPOCH_SCALE (a float multiplier on epoch counts) so the bench suite
-/// can be shrunk for smoke runs. Defaults: 3 trials, scale 1.0.
+/// can be shrunk for smoke runs. Defaults: 3 trials, scale 1.0. A value that
+/// is not a number, not finite, not positive or (for the trial count) not
+/// an `int` gives the default; scaled epoch counts saturate at INT_MAX.
 int NumTrialsFromEnv(int default_trials = 3);
 double EpochScaleFromEnv();
+
+/// The positive `int` in environment variable `name`, or `fallback` when it
+/// is unset, not a whole decimal number, not positive or out of `int` range.
+int PositiveIntFromEnv(const char* name, int fallback);
 
 }  // namespace rgae
 

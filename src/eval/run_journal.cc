@@ -5,11 +5,11 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "src/obs/json.h"
 #include "src/obs/log.h"
 #include "src/obs/trace.h"
+#include "src/util/fileio.h"
 
 namespace rgae {
 
@@ -88,15 +88,15 @@ obs::JsonValue RecordJson(const JournalRecord& r) {
                                 ? JsonValue::Null()
                                 : JsonValue(o.failure_reason));
   out.Set("timed_out", JsonValue(o.timed_out));
-  out.Set("retries", JsonValue(o.retries));
-  out.Set("degraded", JsonValue(o.degraded));
   out.Set("rollbacks", JsonValue(o.result.rollbacks));
   return out;
 }
 
 // Pulls one typed field out of a parsed record line; each Get* returns
 // false on a missing or mis-typed field so a record from a future schema
-// (or a corrupted line that still parses) is rejected, not misread.
+// (or a corrupted line that still parses) is rejected, not misread. Keys
+// the reader does not ask for are ignored: records written while the
+// harness still had a retry ladder also carry `retries` and `degraded`.
 bool GetString(const obs::JsonValue& doc, const char* key, std::string* out) {
   const obs::JsonValue* v = doc.Get(key);
   if (v == nullptr || !v->is_string()) return false;
@@ -147,8 +147,6 @@ bool ParseRecord(const obs::JsonValue& doc, JournalRecord* r) {
       GetInt(doc, "cluster_epochs_run", &o.result.cluster_epochs_run) &&
       GetBool(doc, "failed", &o.failed) &&
       GetBool(doc, "timed_out", &o.timed_out) &&
-      GetInt(doc, "retries", &o.retries) &&
-      GetBool(doc, "degraded", &o.degraded) &&
       GetInt(doc, "rollbacks", &rollbacks);
   if (!ok) return false;
   r->seed = static_cast<uint64_t>(seed);
@@ -230,51 +228,71 @@ bool RunJournal::Open(const std::string& path, std::string* error) {
   // Load phase: every complete line must be a valid record. The final line
   // may be torn (the one write a crash can interrupt — Append fsyncs, but
   // the kill can land mid-write); it is dropped with a warning and its
-  // trial simply re-runs.
-  std::ifstream in(path);
-  if (in) {
-    std::string line;
-    int lineno = 0;
-    bool pending_tail = false;
-    std::string tail_error;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (pending_tail) {
-        // The previous bad line was not the last one: corrupt journal.
-        return Fail(error, path + ":" + std::to_string(lineno - 1) + ": " +
-                               tail_error);
-      }
-      if (line.empty()) continue;
-      obs::JsonValue doc;
-      std::string parse_error;
-      JournalRecord record;
-      if (!obs::JsonValue::Parse(line, &doc, &parse_error)) {
-        pending_tail = true;
-        tail_error = "malformed journal line: " + parse_error;
-        continue;
-      }
-      if (!ParseRecord(doc, &record)) {
-        pending_tail = true;
-        tail_error = "journal line is not an " + std::string(kSchema) +
-                     " record";
-        continue;
-      }
-      by_key_[record.key] = records_.size();
-      records_.push_back(std::move(record));
+  // trial simply re-runs. A missing file is an empty journal.
+  std::string contents;
+  ReadFileToString(path, &contents);
+  size_t torn_at = std::string::npos;  // Offset of the dropped final line.
+  std::string tail_error;
+  int lineno = 0;
+  for (size_t pos = 0; pos < contents.size();) {
+    ++lineno;
+    if (torn_at != std::string::npos) {
+      // The previous bad line was not the last one: corrupt journal.
+      return Fail(error, path + ":" + std::to_string(lineno - 1) + ": " +
+                             tail_error);
     }
-    if (pending_tail) {
-      RGAE_COUNT("journal.torn_tail_dropped");
-      RGAE_LOG(kWarn)
-          .Event("journal.torn_tail")
-          .Field("path", path)
-          .Field("line", lineno)
-          .Msg(tail_error + " (torn final line dropped; trial will re-run)");
+    const size_t start = pos;
+    const size_t newline = contents.find('\n', start);
+    const size_t end =
+        newline == std::string::npos ? contents.size() : newline;
+    pos = end + 1;
+    if (end == start) continue;
+    obs::JsonValue doc;
+    std::string parse_error;
+    JournalRecord record;
+    if (!obs::JsonValue::Parse(contents.substr(start, end - start), &doc,
+                               &parse_error)) {
+      torn_at = start;
+      tail_error = "malformed journal line: " + parse_error;
+      continue;
     }
+    if (!ParseRecord(doc, &record)) {
+      torn_at = start;
+      tail_error = "journal line is not an " + std::string(kSchema) +
+                   " record";
+      continue;
+    }
+    by_key_[record.key] = records_.size();
+    records_.push_back(std::move(record));
   }
   file_ = std::fopen(path.c_str(), "a");
   if (file_ == nullptr) {
     return Fail(error, "cannot open journal " + path + " for append: " +
                            std::strerror(errno));
+  }
+  // Appends must start on a fresh line, or the next record would be glued
+  // onto the fragment (and lost) or onto the last record (and corrupt the
+  // journal for the following resume): cut a dropped tail back to the end
+  // of the last complete line, and end a final record that parsed without
+  // its newline.
+  bool repaired = true;
+  if (torn_at != std::string::npos) {
+    RGAE_COUNT("journal.torn_tail_dropped");
+    RGAE_LOG(kWarn)
+        .Event("journal.torn_tail")
+        .Field("path", path)
+        .Field("line", lineno)
+        .Msg(tail_error + " (torn final line dropped; trial will re-run)");
+    repaired = ftruncate(fileno(file_), static_cast<off_t>(torn_at)) == 0;
+  } else if (!contents.empty() && contents.back() != '\n') {
+    repaired = std::fputc('\n', file_) != EOF && std::fflush(file_) == 0;
+  }
+  if (!repaired) {
+    const std::string message = "cannot repair the final line of journal " +
+                                path + ": " + std::strerror(errno);
+    std::fclose(file_);
+    file_ = nullptr;
+    return Fail(error, message);
   }
   path_ = path;
   if (const char* env = std::getenv("RGAE_JOURNAL_CRASH_AFTER")) {

@@ -24,11 +24,11 @@ namespace rgae {
 /// Durability: each record is flushed and fsync'd before `Append` returns,
 /// so a trial is either fully journaled or not journaled at all. The file
 /// itself is append-only on purpose (see util/fileio.h); a torn final line
-/// — the one write a crash can interrupt — is detected and ignored on
-/// load, costing at most one re-run trial.
+/// — the one write a crash can interrupt — is detected on load and cut off
+/// the file before the next append, costing at most one re-run trial.
 
 /// One journal record: the identity of the trial plus its replayable
-/// outcome (scores, timings, and the full failure/retry accounting).
+/// outcome (scores, timings, and the failure/stop accounting).
 struct JournalRecord {
   std::string key;      // TrialConfigKey of the run that produced it.
   std::string model;    // "GAE", ...
@@ -43,9 +43,10 @@ struct JournalRecord {
 /// every outcome-affecting knob: the model and dataset names, the variant,
 /// the trial index, all `ModelOptions` fields, and the `TrainerOptions`
 /// schedule/operator/seed fields. Observability switches (`track_*`), the
-/// resilience policy, fault injectors, `trial_id`, and the deadline are
+/// resilience policy, fault injectors and `trial_id` are
 /// excluded — they do not change what a *completed* healthy trial computes,
-/// and a journal must survive being resumed under a different budget.
+/// and a journal must survive being resumed under different instrumentation
+/// or a different recovery budget.
 uint64_t TrialConfigHash(const std::string& model, const std::string& dataset,
                          const std::string& variant, int trial,
                          const ModelOptions& model_options,
@@ -68,9 +69,11 @@ class RunJournal {
 
   /// Opens `path` for appending, first loading every complete record
   /// already present (a missing file is an empty journal, not an error).
-  /// A torn final line is tolerated; a malformed line anywhere else makes
-  /// the open fail — the file is not a journal. Returns false and fills
-  /// `*error` (when non-null) on I/O or format errors.
+  /// A torn final line is tolerated and truncated away, and a final record
+  /// that lost only its newline gets it back, so the next append starts on
+  /// a fresh line; a malformed line anywhere else makes the open fail — the
+  /// file is not a journal. Returns false and fills `*error` (when
+  /// non-null) on I/O or format errors.
   bool Open(const std::string& path, std::string* error = nullptr);
 
   bool is_open() const { return file_ != nullptr; }

@@ -113,35 +113,18 @@ JsonValue RunReportJson(const RunReportInfo& info,
   out.Set("trial", JsonValue(info.trial));
   out.Set("seed", JsonValue(info.seed));
   out.Set("seconds", JsonValue(outcome.seconds));
-  out.Set("retries", JsonValue(outcome.retries));
-  out.Set("degraded", JsonValue(outcome.degraded));
   const JsonValue result = TrainResultJson(outcome.result);
   for (const auto& [key, value] : result.entries()) {
     out.Set(key, value);
   }
-  // The outcome-level flags win over the raw result's: the harness's retry
-  // ladder may drop a trial (failed) whose last TrainResult succeeded.
+  // The outcome-level flags win over the raw result's: the R half of a
+  // couple whose shared pretraining failed is failed although its own
+  // clustering run was not.
   out.Set("failed", JsonValue(outcome.failed));
   out.Set("failure_reason", outcome.failure_reason.empty()
                                 ? JsonValue::Null()
                                 : JsonValue(outcome.failure_reason));
   out.Set("timed_out", JsonValue(outcome.timed_out));
-  return out;
-}
-
-JsonValue AggregateJson(const Aggregate& aggregate) {
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("best", ScoresJson(aggregate.best));
-  out.Set("mean", ScoresJson(aggregate.mean));
-  out.Set("stddev", ScoresJson(aggregate.stddev));
-  out.Set("best_seconds", JsonValue(aggregate.best_seconds));
-  out.Set("mean_seconds", JsonValue(aggregate.mean_seconds));
-  out.Set("var_seconds", JsonValue(aggregate.var_seconds));
-  out.Set("num_trials", JsonValue(aggregate.num_trials));
-  out.Set("dropped_trials", JsonValue(aggregate.dropped_trials));
-  out.Set("timed_out_trials", JsonValue(aggregate.timed_out_trials));
-  out.Set("retried_trials", JsonValue(aggregate.retried_trials));
-  out.Set("degraded_trials", JsonValue(aggregate.degraded_trials));
   return out;
 }
 

@@ -38,10 +38,6 @@ JsonValue TrainResultJson(const TrainResult& result);
 /// Full per-trial document: info + TrainResultJson fields.
 JsonValue RunReportJson(const RunReportInfo& info, const TrialOutcome& outcome);
 
-/// Aggregate block mirroring `rgae::Aggregate` (best/mean/stddev scores,
-/// timing, survivor counts).
-JsonValue AggregateJson(const Aggregate& aggregate);
-
 /// Top-level bench document:
 /// {"schema":"rgae.bench.v1","bench":…,"trials":[…],"memory":{…},
 ///  "metrics":{…},"profile":{…},"dropped_trace_events":…}. `trials`

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "src/core/fault_injection.h"
 #include "src/eval/table.h"
 #include "src/graph/generators.h"
 
@@ -70,6 +72,36 @@ TEST(HarnessTest, RunCoupleFirstGroup) {
   const CoupleOutcome outcome = RunCouple(c, g);
   EXPECT_GE(outcome.base.scores.acc, 0.0);
   EXPECT_GE(outcome.rmodel.scores.acc, 0.0);
+}
+
+TEST(HarnessTest, FailedSharedPretrainFailsBothHalves) {
+  const AttributedGraph g = SmallGraph();
+  FaultEvent e;
+  e.type = FaultEvent::Type::kNanWeight;
+  e.epoch = 2;
+  e.pretrain = true;
+  e.once = false;  // Re-fires on every replay: unrecoverable.
+  FaultInjector injector({e}, /*seed=*/42);
+  CoupleConfig c = SmallCouple("DGAE");
+  c.base.resilience.enabled = true;
+  c.base.resilience.max_rollbacks = 0;
+  c.base.fault_injector = &injector;
+
+  const CoupleOutcome outcome = RunCouple(c, g);
+  EXPECT_TRUE(outcome.base.failed);
+  EXPECT_TRUE(outcome.rmodel.failed);
+  // The R half's own clustering run was healthy; the harness fails it.
+  EXPECT_FALSE(outcome.rmodel.result.failed);
+  EXPECT_EQ(outcome.rmodel.failure_reason.rfind("shared pretrain failed: ", 0),
+            0u)
+      << outcome.rmodel.failure_reason;
+  EXPECT_EQ(injector.faults_fired(), 1);  // Pretraining ran exactly once.
+
+  for (const TrialOutcome& half : {outcome.base, outcome.rmodel}) {
+    const Aggregate agg = AggregateTrials({half});
+    EXPECT_EQ(agg.num_trials, 0);
+    EXPECT_EQ(agg.dropped_trials, 1);
+  }
 }
 
 TEST(HarnessTest, RunSingleProducesScores) {
@@ -152,11 +184,30 @@ TEST(AggregateTest, AllTrialsFailedYieldsZeroedAggregate) {
   EXPECT_DOUBLE_EQ(agg.mean.acc, 0.0);
 }
 
+// Unset, and every value that is not a positive finite number (for the
+// trial count, not a whole number in `int` range), give the defaults.
 TEST(EnvScalingTest, DefaultsWithoutEnv) {
   unsetenv("RGAE_TRIALS");
   unsetenv("RGAE_EPOCH_SCALE");
   EXPECT_EQ(NumTrialsFromEnv(), 3);
   EXPECT_DOUBLE_EQ(EpochScaleFromEnv(), 1.0);
+
+  for (const char* bad : {"", "abc", "0", "-2", "5x", "2.5", " ",
+                          "99999999999", "2147483648", "-2147483649"}) {
+    setenv("RGAE_TRIALS", bad, 1);
+    EXPECT_EQ(NumTrialsFromEnv(), 3) << "RGAE_TRIALS=" << bad;
+    EXPECT_EQ(PositiveIntFromEnv("RGAE_TRIALS", 7), 7) << bad;
+  }
+  for (const char* bad : {"", "abc", "0", "-0.5", "0.25x", "inf", "-inf",
+                          "nan", "1e400", "1e-400"}) {
+    setenv("RGAE_EPOCH_SCALE", bad, 1);
+    EXPECT_DOUBLE_EQ(EpochScaleFromEnv(), 1.0) << "RGAE_EPOCH_SCALE=" << bad;
+    const CoupleConfig c = MakeCoupleConfig("GAE", "Cora", 1);
+    EXPECT_EQ(c.base.pretrain_epochs, 100) << bad;
+    EXPECT_EQ(c.base.max_cluster_epochs, 150) << bad;
+  }
+  unsetenv("RGAE_TRIALS");
+  unsetenv("RGAE_EPOCH_SCALE");
 }
 
 TEST(EnvScalingTest, ReadsEnv) {
@@ -164,6 +215,20 @@ TEST(EnvScalingTest, ReadsEnv) {
   setenv("RGAE_EPOCH_SCALE", "0.25", 1);
   EXPECT_EQ(NumTrialsFromEnv(), 5);
   EXPECT_DOUBLE_EQ(EpochScaleFromEnv(), 0.25);
+  setenv("RGAE_TRIALS", "2147483647", 1);
+  EXPECT_EQ(NumTrialsFromEnv(), std::numeric_limits<int>::max());
+
+  // Epoch counts scaled past INT_MAX saturate there instead of wrapping.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  for (const char* huge : {"3e7", "1e300"}) {
+    setenv("RGAE_EPOCH_SCALE", huge, 1);
+    const CoupleConfig c = MakeCoupleConfig("GAE", "Cora", 1);
+    EXPECT_EQ(c.base.pretrain_epochs, kMax) << huge;
+    EXPECT_EQ(c.base.max_cluster_epochs, kMax) << huge;
+    EXPECT_EQ(c.rvariant.first_group_transform_start, kMax / 2) << huge;
+  }
+  setenv("RGAE_EPOCH_SCALE", "0.001", 1);  // Never below one epoch.
+  EXPECT_EQ(MakeCoupleConfig("GAE", "Cora", 1).base.pretrain_epochs, 1);
   unsetenv("RGAE_TRIALS");
   unsetenv("RGAE_EPOCH_SCALE");
 }
