@@ -13,6 +13,8 @@
 //   --log-jsonl=<path>  route structured log records to a JSONL file
 // Either of the first two also turns instrumentation on (unless
 // RGAE_OBS_ENABLED=0 forces it off, the perf-baseline escape hatch).
+// Any other argument makes the bench exit 2 naming it, except in
+// bench_micro_ops, which hands the rest to google-benchmark.
 //
 // Crash safety (DESIGN.md §5.1):
 //   --journal=<path>      append every completed trial to a resumable
@@ -112,58 +114,24 @@ inline void BenchSignalHandler(int /*sig*/) {
   rgae::RequestGlobalStop();
 }
 
-/// Per-binary observability session. Parses and removes its flags from
-/// argv (so benches with their own arg handling, e.g. google-benchmark,
-/// see a clean command line), collects one RunReport per executed trial,
-/// and writes the requested sinks on destruction.
+/// Per-binary observability session. Parses its flags, collects one
+/// RunReport per executed trial, and writes the requested sinks on
+/// destruction.
 class BenchObs {
  public:
-  BenchObs(int* argc, char** argv, std::string bench_name)
-      : bench_(std::move(bench_name)) {
-    std::string journal_path;
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-      if (std::strncmp(argv[i], "--json=", 7) == 0) {
-        json_path_ = argv[i] + 7;
-      } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-        trace_path_ = argv[i] + 8;
-      } else if (std::strncmp(argv[i], "--log-jsonl=", 12) == 0) {
-        rgae::obs::SetLogJsonlPath(argv[i] + 12);
-      } else if (std::strncmp(argv[i], "--journal=", 10) == 0) {
-        journal_path = argv[i] + 10;
-      } else {
-        argv[out++] = argv[i];
-      }
-    }
-    *argc = out;
-    if (!json_path_.empty() || !trace_path_.empty()) {
-      rgae::obs::SetEnabled(true);
-      // The profile tree rides the same sinks (a `profile` block in the
-      // JSON document, span attribution in the trace).
-      rgae::obs::SetProfileEnabled(true);
-    }
-    if (!trace_path_.empty()) rgae::obs::SetTraceEnabled(true);
-
-    if (!journal_path.empty()) {
-      std::string error;
-      if (journal_.Open(journal_path, &error)) {
-        std::printf("trial journal: %s (%zu completed trial(s) on file)\n",
-                    journal_path.c_str(), journal_.size());
-      } else {
-        std::fprintf(stderr, "cannot open trial journal: %s\n",
-                     error.c_str());
-        std::exit(2);  // Running un-journaled would discard work silently.
-      }
-    }
-    rgae::ClearGlobalStop();
-    std::signal(SIGINT, BenchSignalHandler);
-    std::signal(SIGTERM, BenchSignalHandler);
-    active_ = this;
-  }
-
-  /// Convenience overload for benches that take no other arguments.
+  /// For benches that take no flags of their own: any other argument is
+  /// named on stderr and the process exits 2, so a mistyped or retired
+  /// flag cannot pass unnoticed.
   BenchObs(int argc, char** argv, std::string bench_name)
-      : BenchObs(&argc, argv, std::move(bench_name)) {}
+      : BenchObs(&argc, argv, std::move(bench_name),
+                 /*reject_unknown=*/true) {}
+
+  /// For benches with their own flag parser (google-benchmark in
+  /// bench_micro_ops): removes BenchObs's flags from argv and leaves the
+  /// rest, with *argc updated, for that parser to check.
+  BenchObs(int* argc, char** argv, std::string bench_name)
+      : BenchObs(argc, argv, std::move(bench_name),
+                 /*reject_unknown=*/false) {}
 
   ~BenchObs() {
     active_ = nullptr;
@@ -231,6 +199,56 @@ class BenchObs {
   }
 
  private:
+  BenchObs(int* argc, char** argv, std::string bench_name,
+           bool reject_unknown)
+      : bench_(std::move(bench_name)) {
+    std::string journal_path;
+    int out = 1;
+    for (int i = 1; i < *argc; ++i) {
+      if (std::strncmp(argv[i], "--json=", 7) == 0) {
+        json_path_ = argv[i] + 7;
+      } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
+        trace_path_ = argv[i] + 8;
+      } else if (std::strncmp(argv[i], "--log-jsonl=", 12) == 0) {
+        rgae::obs::SetLogJsonlPath(argv[i] + 12);
+      } else if (std::strncmp(argv[i], "--journal=", 10) == 0) {
+        journal_path = argv[i] + 10;
+      } else if (reject_unknown) {
+        std::fprintf(stderr,
+                     "bench_%s: unknown flag '%s' (known: --json=, "
+                     "--trace=, --log-jsonl=, --journal=)\n",
+                     bench_.c_str(), argv[i]);
+        std::exit(2);
+      } else {
+        argv[out++] = argv[i];
+      }
+    }
+    *argc = out;
+    if (!json_path_.empty() || !trace_path_.empty()) {
+      rgae::obs::SetEnabled(true);
+      // The profile tree rides the same sinks (a `profile` block in the
+      // JSON document, span attribution in the trace).
+      rgae::obs::SetProfileEnabled(true);
+    }
+    if (!trace_path_.empty()) rgae::obs::SetTraceEnabled(true);
+
+    if (!journal_path.empty()) {
+      std::string error;
+      if (journal_.Open(journal_path, &error)) {
+        std::printf("trial journal: %s (%zu completed trial(s) on file)\n",
+                    journal_path.c_str(), journal_.size());
+      } else {
+        std::fprintf(stderr, "cannot open trial journal: %s\n",
+                     error.c_str());
+        std::exit(2);  // Running un-journaled would discard work silently.
+      }
+    }
+    rgae::ClearGlobalStop();
+    std::signal(SIGINT, BenchSignalHandler);
+    std::signal(SIGTERM, BenchSignalHandler);
+    active_ = this;
+  }
+
   inline static BenchObs* active_ = nullptr;
 
   std::string bench_;

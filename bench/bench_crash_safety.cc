@@ -26,7 +26,7 @@ void PrintAggregate(const char* name, const rgae::Aggregate& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const rgae_bench::BenchObs obs(&argc, argv, "crash_safety");
+  const rgae_bench::BenchObs obs(argc, argv, "crash_safety");
   rgae_bench::PrintRunBanner("crash safety — journaled GAE couples on Cora");
   const int trials = rgae::NumTrialsFromEnv();
 

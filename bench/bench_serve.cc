@@ -167,7 +167,7 @@ void PrintPhase(const PhaseReport& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  rgae_bench::BenchObs obs(&argc, argv, "serve");
+  rgae_bench::BenchObs obs(argc, argv, "serve");
   rgae_bench::PrintRunBanner("serving: snapshot + batched queries + cache",
                              /*trials=*/1);
 

@@ -53,14 +53,18 @@ Enforces invariants that generic tools do not know about:
                       guards nothing and says nothing is either dead weight
                       or an unprotected invariant.
   R12 simd scope   -- raw SIMD intrinsics (an <immintrin.h>/<x86intrin.h>
-                      include or an _mm*/__m128/__m256/__m512 token) are
-                      banned outside src/kernels/: vector code must live in
-                      the per-ISA kernel tiers behind a KernelStub so the
-                      determinism contract and the RGAE_KERNEL override
-                      stay airtight (DESIGN.md §9). A site that genuinely
-                      needs an intrinsic elsewhere opts out with a
-                      `// Raw SIMD: <why>` comment on the line or within
-                      the three lines above.
+                      include or an _mm*/__m128/__m256/__m512 token) and
+                      ISA target switches (`__attribute__((target(...)))`,
+                      `[[gnu::target(...)]]`, their target_clones forms and
+                      `#pragma GCC target`) are banned outside
+                      src/kernels/: vector code must live in the per-ISA
+                      kernel tiers behind a KernelStub so the determinism
+                      contract and the RGAE_KERNEL override stay airtight
+                      (DESIGN.md §9). A function compiled for AVX2 by a
+                      target attribute has no runtime dispatch and ignores
+                      RGAE_KERNEL=scalar. A site that genuinely needs one
+                      elsewhere opts out with a `// Raw SIMD: <why>`
+                      comment on the line or within the three lines above.
 
 Run: python3 scripts/rgae_lint.py [--root DIR]. Exits 1 if any finding.
 Run: python3 scripts/rgae_lint.py --self-test to lint seeded fixture files
@@ -165,6 +169,14 @@ SIMD_RAW_RE = re.compile(
     r"\b_mm(?:\d+)?_\w+\s*\("
     r"|\b__m(?:128|256|512)[a-z]*\b"
     r"|#\s*include\s*<(?:imm|x86|avx|emm|xmm|smm|wmm)[a-z0-9]*intrin\.h>"
+)
+# Function- and file-level ISA switches: GCC/Clang target attributes (in
+# either spelling, with or without clones) and the target pragma. Matched
+# on comment- and string-stripped code, so the ISA string itself is gone.
+SIMD_TARGET_RE = re.compile(
+    r"__attribute__\s*\(\(.*\b(?:__)?target(?:_clones)?(?:__)?\s*\("
+    r"|\[\[.*\bgnu::(?:__)?target(?:_clones)?(?:__)?\s*\("
+    r"|#\s*pragma\s+GCC\s+target\b"
 )
 SIMD_NOTE = "Raw SIMD:"
 SIMD_NOTE_WINDOW = 3
@@ -284,13 +296,17 @@ def lint_simd_scope(rel, raw_lines, code_lines, findings):
     if rel.startswith(SIMD_ALLOW_PREFIX):
         return
     for i, code in enumerate(code_lines):
-        if not SIMD_RAW_RE.search(code):
+        raw_simd = SIMD_RAW_RE.search(code)
+        if not raw_simd and not SIMD_TARGET_RE.search(code):
             continue
         lo = max(0, i - SIMD_NOTE_WINDOW)
         if any(SIMD_NOTE in raw_lines[j] for j in range(lo, i + 1)):
             continue
+        what = ("raw SIMD intrinsic" if raw_simd else
+                "ISA target attribute or pragma (no runtime dispatch, and"
+                " RGAE_KERNEL=scalar cannot turn it off)")
         findings.append(
-            f"{rel}:{i + 1}: [R12] raw SIMD intrinsic outside src/kernels/;"
+            f"{rel}:{i + 1}: [R12] {what} outside src/kernels/;"
             " add the op to the kernel library behind a KernelStub (scalar"
             " reference + per-ISA tiers), or justify with"
             " `// Raw SIMD: <why>` (DESIGN.md §9)"
@@ -620,16 +636,57 @@ SELF_TEST_FIXTURES = [
         [],
     ),
     (
+        # A target attribute compiles one function for AVX2 with no
+        # dispatch: each spelling fires R12 on its own.
+        "src/fix/target_attr_bad.cc",
+        '#include "src/fix/target_attr_bad.h"\n'
+        "namespace rgae {\n"
+        '__attribute__((target("avx2"))) double Sum(const double* p) {\n'
+        "  return p[0] + p[1];\n"
+        "}\n"
+        "}  // namespace rgae\n",
+        ["R12"],
+        [],
+    ),
+    (
+        "src/fix/gnu_target_bad.cc",
+        '#include "src/fix/gnu_target_bad.h"\n'
+        "namespace rgae {\n"
+        '[[gnu::target("avx2,fma")]] double Sum(const double* p) {\n'
+        "  return p[0] + p[1];\n"
+        "}\n"
+        "}  // namespace rgae\n",
+        ["R12"],
+        [],
+    ),
+    (
+        "src/fix/pragma_target_bad.cc",
+        '#include "src/fix/pragma_target_bad.h"\n'
+        '#pragma GCC target("avx2")\n'
+        "namespace rgae {\n"
+        "double Sum(const double* p) { return p[0] + p[1]; }\n"
+        "}  // namespace rgae\n",
+        ["R12"],
+        [],
+    ),
+    (
         # The same tokens are legal inside src/kernels/ (tier TUs) and
         # elsewhere under a `// Raw SIMD:` justification.
         "src/kernels/fix_simd_tier.cc",
         '#include "src/kernels/fix_simd_tier.h"\n'
         "#include <immintrin.h>\n"
+        '#pragma GCC target("avx2")\n'
         "namespace rgae {\n"
         "namespace kernels {\n"
         "double SumFour(const double* p) {\n"
         "  __m256d v = _mm256_loadu_pd(p);\n"
         "  return p[0] + p[1];\n"
+        "}\n"
+        '__attribute__((target("avx2"))) double Two(const double* p) {\n'
+        "  return p[0] + p[1];\n"
+        "}\n"
+        '[[gnu::target("avx2")]] double Three(const double* p) {\n'
+        "  return p[0] + p[1] + p[2];\n"
         "}\n"
         "}  // namespace kernels\n"
         "}  // namespace rgae\n",
@@ -642,6 +699,10 @@ SELF_TEST_FIXTURES = [
         "namespace rgae {\n"
         "// Raw SIMD: fixture justifies a one-off prefetch intrinsic.\n"
         "void Warm(const double* p) { _mm_prefetch(p, 1); }\n"
+        "// Raw SIMD: fixture justifies a one-off target attribute.\n"
+        '__attribute__((target("popcnt"))) int Bits(unsigned v) {\n'
+        "  return __builtin_popcount(v);\n"
+        "}\n"
         "}  // namespace rgae\n",
         [],
         ["R12"],

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/clustering/kmeans.h"
+#include "src/kernels/kernels.h"
 #include "src/obs/trace.h"
 
 namespace rgae {
@@ -12,39 +13,26 @@ namespace {
 
 constexpr double kLog2Pi = 1.8378770664093453;
 
-// Hard floor applied to variances inside the density evaluation. A caller
-// can hand us a collapsed (zero- or near-zero-variance) component — e.g. a
-// cluster that EM shrank onto identical points — and without the floor the
-// log density turns into 0/0 = NaN for points sitting exactly on the mean.
-constexpr double kDensityVarianceFloor = 1e-12;
-
 // Per-row log joint densities log(pi_k) + log N(x_i; mu_k, var_k): n x k.
+// Variances are floored at kernels::kGmmVarianceFloor here and in the
+// kernel, so a collapsed component gives no 0/0 = NaN.
 Matrix LogJoint(const GmmModel& m, const Matrix& data) {
   const int n = data.rows();
   const int k = m.num_components();
   const int d = m.dim();
-  Matrix lj(n, k);
   std::vector<double> log_norm(k, 0.0);  // Precomputed per-component parts.
   for (int c = 0; c < k; ++c) {
     double s = std::log(std::max(m.weights[c], 1e-300));
     for (int j = 0; j < d; ++j) {
       s -= 0.5 * (std::log(std::max(m.variances(c, j),
-                                    kDensityVarianceFloor)) +
+                                    kernels::kGmmVarianceFloor)) +
                   kLog2Pi);
     }
     log_norm[c] = s;
   }
-  for (int i = 0; i < n; ++i) {
-    for (int c = 0; c < k; ++c) {
-      double s = log_norm[c];
-      for (int j = 0; j < d; ++j) {
-        const double diff = data(i, j) - m.means(c, j);
-        s -= 0.5 * diff * diff /
-             std::max(m.variances(c, j), kDensityVarianceFloor);
-      }
-      lj(i, c) = s;
-    }
-  }
+  Matrix lj = Matrix::Uninitialized(n, k);  // The kernel writes every entry.
+  kernels::GmmLogJoint(data.data(), n, d, m.means.data(), m.variances.data(),
+                       log_norm.data(), k, lj.data());
   return lj;
 }
 
@@ -153,35 +141,20 @@ void EmIterations(GmmModel* model, const Matrix& data, int iterations,
   const int n = data.rows();
   const int k = model->num_components();
   const int d = model->dim();
+  assert(data.cols() == d);
   double prev_ll = -1e300;
   int ran = 0;
   // The E-step of the first iteration; each later one comes with the
   // previous iteration's mean log-likelihood.
   Matrix resp;
   if (iterations > 0) model->EStep(data, &resp);
+  std::vector<double> nk(k);
   for (int it = 0; it < iterations; ++it) {
     ++ran;
-    // M-step.
-    for (int c = 0; c < k; ++c) {
-      double nk = 0.0;
-      for (int i = 0; i < n; ++i) nk += resp(i, c);
-      nk = std::max(nk, 1e-10);
-      model->weights[c] = nk / n;
-      for (int j = 0; j < d; ++j) {
-        double mean = 0.0;
-        for (int i = 0; i < n; ++i) mean += resp(i, c) * data(i, j);
-        mean /= nk;
-        model->means(c, j) = mean;
-      }
-      for (int j = 0; j < d; ++j) {
-        double var = 0.0;
-        for (int i = 0; i < n; ++i) {
-          const double diff = data(i, j) - model->means(c, j);
-          var += resp(i, c) * diff * diff;
-        }
-        model->variances(c, j) = std::max(options.min_variance, var / nk);
-      }
-    }
+    kernels::GmmMStep(data.data(), n, d, resp.data(), k, options.min_variance,
+                      nk.data(), model->means.data(),
+                      model->variances.data());
+    for (int c = 0; c < k; ++c) model->weights[c] = nk[c] / n;
     const double ll = model->EStep(data, &resp);
     if (ll - prev_ll < options.tolerance) break;
     prev_ll = ll;

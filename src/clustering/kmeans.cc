@@ -1,9 +1,12 @@
 #include "src/clustering/kmeans.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <vector>
 
+#include "src/kernels/kernels.h"
 #include "src/obs/trace.h"
 
 namespace rgae {
@@ -49,26 +52,21 @@ KMeansResult RunOnce(const Matrix& data, int k, Rng& rng,
   KMeansResult result;
   result.centers = SeedCenters(data, k, rng);
   result.assignments.assign(n, 0);
+  std::vector<int> nearest(n);
+  std::vector<double> best(n);
   double prev_inertia = std::numeric_limits<double>::max();
   for (int it = 0; it < options.max_iterations; ++it) {
     result.iterations = it + 1;
     // Assignment step.
+    kernels::NearestCenter(data.data(), n, data.cols(), result.centers.data(),
+                           k, nearest.data(), best.data());
     bool changed = false;
     double inertia = 0.0;
     for (int i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::max();
-      int best_c = 0;
-      for (int c = 0; c < k; ++c) {
-        const double d = RowSquaredDistance(data, i, result.centers, c);
-        if (d < best) {
-          best = d;
-          best_c = c;
-        }
-      }
-      if (best_c != result.assignments[i]) changed = true;
-      result.assignments[i] = best_c;
-      inertia += best;
+      if (nearest[i] != result.assignments[i]) changed = true;
+      inertia += best[i];
     }
+    result.assignments.swap(nearest);
     result.inertia = inertia;
     // Update step.
     result.centers = ClusterMeans(data, result.assignments, k);
@@ -102,17 +100,10 @@ KMeansResult KMeans(const Matrix& data, int k, Rng& rng,
 }
 
 std::vector<int> NearestCenters(const Matrix& data, const Matrix& centers) {
+  assert(centers.rows() == 0 || centers.cols() == data.cols());
   std::vector<int> out(data.rows(), 0);
-  for (int i = 0; i < data.rows(); ++i) {
-    double best = std::numeric_limits<double>::max();
-    for (int c = 0; c < centers.rows(); ++c) {
-      const double d = RowSquaredDistance(data, i, centers, c);
-      if (d < best) {
-        best = d;
-        out[i] = c;
-      }
-    }
-  }
+  kernels::NearestCenter(data.data(), data.rows(), data.cols(),
+                         centers.data(), centers.rows(), out.data(), nullptr);
   return out;
 }
 
@@ -129,13 +120,17 @@ Matrix ClusterMeans(const Matrix& data, const std::vector<int>& assignments,
     double* center = centers.row(c);
     for (int j = 0; j < data.cols(); ++j) center[j] += row[j];
   }
-  // Overall mean as the fallback for empty clusters.
-  Matrix overall(1, data.cols());
-  for (int i = 0; i < data.rows(); ++i) {
-    const double* row = data.row(i);
-    for (int j = 0; j < data.cols(); ++j) overall(0, j) += row[j];
+  // Overall mean as the fallback for empty clusters, computed only when
+  // one is empty.
+  Matrix overall;
+  if (std::find(counts.begin(), counts.end(), 0) != counts.end()) {
+    overall = Matrix(1, data.cols());
+    for (int i = 0; i < data.rows(); ++i) {
+      const double* row = data.row(i);
+      for (int j = 0; j < data.cols(); ++j) overall(0, j) += row[j];
+    }
+    if (data.rows() > 0) overall *= 1.0 / data.rows();
   }
-  if (data.rows() > 0) overall *= 1.0 / data.rows();
   for (int c = 0; c < k; ++c) {
     double* center = centers.row(c);
     if (counts[c] == 0) {

@@ -57,27 +57,32 @@ void RGaeTrainer::RefreshReconTarget() {
 }
 
 Matrix RGaeTrainer::CurrentSoftAssignments() {
+  if (model_->clustering_head_ready()) return model_->SoftAssignments();
+  return CurrentSoftAssignments(model_->Embed());
+}
+
+Matrix RGaeTrainer::CurrentSoftAssignments(const Matrix& z) {
   // Before InitClusteringHead (e.g. XiScores during pretraining) the head's
   // parameters are placeholders, so second-group models also take the GMM
   // path until the head is ready.
   if (model_->clustering_head_ready()) return model_->SoftAssignments();
   // First-group models: fit a GMM on the embedding (Eq. 15 style soft
   // scores come out of the responsibilities directly).
-  const Matrix z = model_->Embed();
   Rng fork = rng_.Fork();
   const GmmModel gmm = FitGmm(z, k_, fork);
   return gmm.Responsibilities(z);
 }
 
-Matrix RGaeTrainer::XiScores() {
-  const Matrix z = model_->Embed();
-  const std::vector<int> hard = HardAssign(CurrentSoftAssignments());
+Matrix RGaeTrainer::XiScores() { return XiScores(model_->Embed()); }
+
+Matrix RGaeTrainer::XiScores(const Matrix& z) {
+  const std::vector<int> hard = HardAssign(CurrentSoftAssignments(z));
   const Matrix means = ClusterMeans(z, hard, k_);
   return StudentTAssignments(z, means);
 }
 
-std::vector<int> RGaeTrainer::SelectOmega() {
-  const Matrix scores = XiScores();
+std::vector<int> RGaeTrainer::SelectOmega(const Matrix& z) {
+  const Matrix scores = XiScores(z);
   const XiResult xi = OperatorXi(scores, options_.xi);
   if (!xi.omega.empty()) return xi.omega;
   const int n = static_cast<int>(xi.lambda1.size());
@@ -104,11 +109,10 @@ ClusteringScores RGaeTrainer::EvaluateNow(std::vector<int>* assignments) {
   return scores;
 }
 
-void RGaeTrainer::ApplyUpsilon(const std::vector<int>& omega,
+void RGaeTrainer::ApplyUpsilon(const Matrix& z, const std::vector<int>& omega,
                                UpsilonStats* stats) {
-  const Matrix z = model_->Embed();
   // Use the Ξ scores so Ω membership and Υ's cluster ids agree.
-  const Matrix p = XiScores();
+  const Matrix p = XiScores(z);
   self_graph_ = OperatorUpsilon(model_->graph(), z, p, omega,
                                 options_.upsilon, stats);
   RefreshReconTarget();
@@ -246,7 +250,11 @@ bool RGaeTrainer::Pretrain() {
     if (first_group && options_.use_operators &&
         epoch >= options_.first_group_transform_start &&
         (epoch - options_.first_group_transform_start) % options_.m2 == 0) {
-      ApplyUpsilon(SelectOmega(), nullptr);
+      // One embedding per refresh: the weights do not move between Ξ and
+      // Υ, and Embed() draws no random numbers.
+      const Matrix z = model_->Embed();
+      const std::vector<int> omega = SelectOmega(z);
+      ApplyUpsilon(z, omega, nullptr);
       ctx.recon = recon_;
     }
     if (resilient && epoch % CheckpointEvery() == 0) {
@@ -304,7 +312,7 @@ TrainResult RGaeTrainer::TrainClustering() {
 
   // Table 7 protection mode: one-shot transformation over the whole 𝒱.
   if (options_.use_operators && options_.fd_protection) {
-    ApplyUpsilon(all_nodes_, nullptr);
+    ApplyUpsilon(model_->Embed(), all_nodes_, nullptr);
   }
 
   std::vector<int> omega;  // Empty = clustering loss over all nodes.
@@ -324,17 +332,21 @@ TrainResult RGaeTrainer::TrainClustering() {
     const bool xi_active =
         options_.use_operators && epoch >= options_.xi_delay_epochs;
     // Refresh Ω every M₁ epochs.
-    if (xi_active &&
-        (epoch == options_.xi_delay_epochs ||
-         (epoch - options_.xi_delay_epochs) % options_.m1 == 0)) {
-      omega = SelectOmega();
-    }
+    const bool refresh_omega =
+        xi_active && (epoch == options_.xi_delay_epochs ||
+                      (epoch - options_.xi_delay_epochs) % options_.m1 == 0);
     // Refresh A^self_clus every M₂ epochs (gradual correction mode only).
+    const bool refresh_graph = options_.use_operators &&
+                               !options_.fd_protection &&
+                               epoch % options_.m2 == 0;
+    // Both refreshes of an epoch read one embedding.
+    Matrix z;
+    if (refresh_omega || refresh_graph) z = model_->Embed();
+    if (refresh_omega) omega = SelectOmega(z);
     EpochRecord record;
     record.epoch = epoch;
-    if (options_.use_operators && !options_.fd_protection &&
-        epoch % options_.m2 == 0) {
-      ApplyUpsilon(xi_active ? omega : all_nodes_, &record.upsilon_stats);
+    if (refresh_graph) {
+      ApplyUpsilon(z, xi_active ? omega : all_nodes_, &record.upsilon_stats);
       record.upsilon_ran = true;
     }
     // Snapshot before the step (and before any injected fault) so a

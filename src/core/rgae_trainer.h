@@ -188,21 +188,26 @@ class RGaeTrainer {
   /// Resilience outcome so far (useful between `Pretrain` and
   /// `TrainClustering`; `TrainResult` carries the same data for full runs).
   bool failed() const { return failed_; }
-  bool timed_out() const { return timed_out_; }
   const std::string& failure_reason() const { return failure_reason_; }
   int rollbacks() const { return rollbacks_; }
   const std::vector<HealthEvent>& health_log() const { return health_log_; }
 
  private:
-  // Runs Ξ on the current scores. If α₁/α₂ reject every node (the paper
-  // tunes α₁ as the largest value yielding a non-empty Ω), falls back to
-  // the most confident max(K, 5% of 𝒱) nodes so protection never silently
-  // degrades into training on all nodes.
-  std::vector<int> SelectOmega();
+  // CurrentSoftAssignments() and XiScores() of the embedding `z`, which a
+  // refresh computes once and hands to Ξ and Υ alike.
+  Matrix CurrentSoftAssignments(const Matrix& z);
+  Matrix XiScores(const Matrix& z);
+  // Runs Ξ on the scores of embedding `z`. If α₁/α₂ reject every node (the
+  // paper tunes α₁ as the largest value yielding a non-empty Ω), falls back
+  // to the most confident max(K, 5% of 𝒱) nodes so protection never
+  // silently degrades into training on all nodes.
+  std::vector<int> SelectOmega(const Matrix& z);
   // Rebuilds self_adj_ / recon_ from self_graph_.
   void RefreshReconTarget();
-  // Applies Υ with the given reliable set and updates the recon target.
-  void ApplyUpsilon(const std::vector<int>& omega, UpsilonStats* stats);
+  // Applies Υ to embedding `z` with the given reliable set and updates the
+  // recon target.
+  void ApplyUpsilon(const Matrix& z, const std::vector<int>& omega,
+                    UpsilonStats* stats);
   // Builds the supervised clustering-oriented graph Υ(A, Q', 𝒱).
   CsrMatrix SupervisedOrientedGraph();
   // Fills diagnostics into `record`.

@@ -28,6 +28,9 @@ RGAE_KERNEL_STUB(SpmmScatterFn, SpmmScatter);
 RGAE_KERNEL_STUB(StudentTFn, StudentT);
 RGAE_KERNEL_STUB(GaussianFn, Gaussian);
 RGAE_KERNEL_STUB(AdamStepFn, AdamStep);
+RGAE_KERNEL_STUB(GmmLogJointFn, GmmLogJoint);
+RGAE_KERNEL_STUB(GmmMStepFn, GmmMStep);
+RGAE_KERNEL_STUB(NearestCenterFn, NearestCenter);
 
 #undef RGAE_KERNEL_STUB
 #undef RGAE_AVX2_FN
@@ -84,6 +87,23 @@ void AdamStep(double* value, const double* grad, double* m1, double* m2,
               double bc1, double bc2) {
   kAdamStepStub.Get()(value, grad, m1, m2, n, beta1, beta2, lr, eps, bc1,
                       bc2);
+}
+
+void GmmLogJoint(const double* x, int n, int d, const double* means,
+                 const double* variances, const double* log_norm, int k,
+                 double* lj) {
+  kGmmLogJointStub.Get()(x, n, d, means, variances, log_norm, k, lj);
+}
+
+void GmmMStep(const double* x, int n, int d, const double* resp, int k,
+              double min_variance, double* nk, double* means,
+              double* variances) {
+  kGmmMStepStub.Get()(x, n, d, resp, k, min_variance, nk, means, variances);
+}
+
+void NearestCenter(const double* x, int n, int d, const double* centers,
+                   int k, int* assign, double* best) {
+  kNearestCenterStub.Get()(x, n, d, centers, k, assign, best);
 }
 
 }  // namespace kernels

@@ -87,6 +87,40 @@ using AdamStepFn = void (*)(double* value, const double* grad, double* m1,
                             double* m2, int64_t n, double beta1, double beta2,
                             double lr, double eps, double bc1, double bc2);
 
+/// Floor on a GMM variance inside the log density: a collapsed component
+/// (variance 0 after EM shrank it onto identical points) would otherwise
+/// give 0/0 = NaN for a point sitting exactly on its mean.
+inline constexpr double kGmmVarianceFloor = 1e-12;
+
+/// Diagonal-GMM log joints: lj(n,k) from x(n,d), means and variances
+/// (k,d) and the per-component constants log_norm(k). Entry (i,c) starts
+/// at log_norm[c] and, for ascending j, subtracts
+/// ((0.5·diff)·diff) / max(var(c,j), kGmmVarianceFloor) with
+/// diff = x(i,j) - mean(c,j). Overwrites lj.
+using GmmLogJointFn = void (*)(const double* x, int n, int d,
+                               const double* means, const double* variances,
+                               const double* log_norm, int k, double* lj);
+
+/// A diagonal-GMM M-step from x(n,d) and responsibilities resp(n,k).
+/// Per component c: nk[c] = max(Σ_i r, 1e-10); means(c,j) = (Σ_i r·x) /
+/// nk[c]; variances(c,j) = max(min_variance, (Σ_i (r·diff)·diff) / nk[c])
+/// with r = resp(i,c) and diff = x(i,j) - means(c,j), the new mean. Every
+/// sum starts at +0.0 and adds its terms in ascending i. Overwrites nk(k),
+/// means(k,d) and variances(k,d).
+using GmmMStepFn = void (*)(const double* x, int n, int d,
+                            const double* resp, int k, double min_variance,
+                            double* nk, double* means, double* variances);
+
+/// k-means assignment: for each row of x(n,d), the nearest of the k rows
+/// of centers(k,d) by squared distance (diff·diff added in ascending j
+/// from +0.0), scanned in ascending c with a strict < from DBL_MAX, so
+/// ties go to the lower c and a NaN distance never wins. assign[i] gets
+/// the winner (0 when no distance is below DBL_MAX) and, unless `best` is
+/// null, best[i] its distance (DBL_MAX then).
+using NearestCenterFn = void (*)(const double* x, int n, int d,
+                                 const double* centers, int k, int* assign,
+                                 double* best);
+
 // ---------------------------------------------------------------------------
 // Dispatch wrappers — what product code calls. Each resolves its
 // KernelStub against SelectedIsa() per call.
@@ -113,6 +147,14 @@ void Gaussian(const double* z, int n, int d, const double* centers,
 void AdamStep(double* value, const double* grad, double* m1, double* m2,
               int64_t n, double beta1, double beta2, double lr, double eps,
               double bc1, double bc2);
+void GmmLogJoint(const double* x, int n, int d, const double* means,
+                 const double* variances, const double* log_norm, int k,
+                 double* lj);
+void GmmMStep(const double* x, int n, int d, const double* resp, int k,
+              double min_variance, double* nk, double* means,
+              double* variances);
+void NearestCenter(const double* x, int n, int d, const double* centers,
+                   int k, int* assign, double* best);
 
 // ---------------------------------------------------------------------------
 // Plain scalar ops, one definition each in kernels_scalar.cc (compiled with
@@ -228,6 +270,14 @@ void InnerProductBceGrad(const double* z, int n, int d, const int* row_ptr,
   void AdamStep(double* value, const double* grad, double* m1, double* m2,    \
                 int64_t n, double beta1, double beta2, double lr, double eps, \
                 double bc1, double bc2);                                      \
+  void GmmLogJoint(const double* x, int n, int d, const double* means,        \
+                   const double* variances, const double* log_norm, int k,    \
+                   double* lj);                                               \
+  void GmmMStep(const double* x, int n, int d, const double* resp, int k,     \
+                double min_variance, double* nk, double* means,               \
+                double* variances);                                           \
+  void NearestCenter(const double* x, int n, int d, const double* centers,    \
+                     int k, int* assign, double* best);                       \
   }  // namespace ns
 
 RGAE_DECLARE_KERNEL_TIER(scalar)

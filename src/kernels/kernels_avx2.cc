@@ -4,7 +4,8 @@
 //
 // Vectorization strategy (DESIGN.md §9): vectorize across *independent
 // output elements* — output columns of a matmul/SpMM row, clusters of a
-// softmax row, elements of an Adam sweep — never across a summation
+// softmax row, GMM components or k-means centers of a row, columns of an
+// M-step sum, elements of an Adam sweep — never across a summation
 // chain, and never with FMA (mul+add keeps scalar rounding). Each output
 // element therefore accumulates its contributions in exactly the scalar
 // order, so every op in this file is bit-identical to the scalar tier.
@@ -12,7 +13,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/kernels/kernels.h"
 
@@ -200,17 +203,19 @@ void TransBRow(const double* a_row, const double* b, double* out_row, int k,
   }
 }
 
-/// The four accumulators of a TransBBlock, one per a row. Named members
-/// and the unrolled AddColumn keep them in registers: GCC 12 left an
-/// accumulator array updated in loops on the stack, a load, add and store
-/// per step, and the block ran no faster than the gathering row code.
-struct TransBAcc {
+/// Four accumulators, one per row of a 4-row block: a TransBBlock's a
+/// rows, or the x rows of a GMM log-joint or k-means distance block.
+/// Named members and unrolled updates keep them in registers: GCC 12 left
+/// an accumulator array updated in loops on the stack, a load, add and
+/// store per step, and the block ran no faster than the gathering row
+/// code.
+struct RowAcc4 {
   __m256d r0, r1, r2, r3;
 };
 
 /// acc.rX += a(X, kk) · bv for the four a rows starting at `a`, stride
 /// `sk`: a mul, then an add, never FMA.
-inline void AddColumn(TransBAcc& acc, const double* a, size_t sk, int kk,
+inline void AddColumn(RowAcc4& acc, const double* a, size_t sk, int kk,
                       __m256d bv) {
   const double* ak = a + kk;
   acc.r0 = _mm256_add_pd(acc.r0, _mm256_mul_pd(_mm256_broadcast_sd(ak), bv));
@@ -227,8 +232,8 @@ inline void AddColumn(TransBAcc& acc, const double* a, size_t sk, int kk,
 /// step transposes a 4×4 block of b in registers, so lane c of column t
 /// is b(j + c, kk + t); the last k % 4 columns are gathered.
 void TransBBlock(const double* a, const double* b, double* out, int k, int n) {
-  TransBAcc acc = {_mm256_setzero_pd(), _mm256_setzero_pd(),
-                   _mm256_setzero_pd(), _mm256_setzero_pd()};
+  RowAcc4 acc = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                 _mm256_setzero_pd(), _mm256_setzero_pd()};
   const size_t sk = static_cast<size_t>(k);
   int kk = 0;
   for (; kk + 4 <= k; kk += 4) {
@@ -448,6 +453,326 @@ void AdamStep(double* value, const double* grad, double* m1, double* m2,
     const double mhat = m1[i] / bc1;
     const double vhat = m2[i] / bc2;
     value[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+}
+
+namespace {
+
+/// Pointers to the rows r0..r0+3 of a row-major (rows, stride) matrix.
+/// Rows past the last are clamped to it, so a partial block reads only
+/// valid memory and its extra lanes repeat the last row; the callers
+/// drop those lanes.
+inline void BlockRows(const double* base, size_t stride, int r0, int rows,
+                      const double* out[4]) {
+  for (int t = 0; t < 4; ++t) {
+    out[t] = base + static_cast<size_t>(std::min(r0 + t, rows - 1)) * stride;
+  }
+}
+
+/// Columns j..j+3 of four rows, transposed in registers as TransBBlock
+/// does: lane t of cu is rows[t][j + u].
+struct Columns4 {
+  __m256d c0, c1, c2, c3;
+};
+
+inline Columns4 TransposeColumns(const double* const rows[4], int j) {
+  const __m256d b0 = _mm256_loadu_pd(rows[0] + j);
+  const __m256d b1 = _mm256_loadu_pd(rows[1] + j);
+  const __m256d b2 = _mm256_loadu_pd(rows[2] + j);
+  const __m256d b3 = _mm256_loadu_pd(rows[3] + j);
+  const __m256d lo01 = _mm256_unpacklo_pd(b0, b1);
+  const __m256d hi01 = _mm256_unpackhi_pd(b0, b1);
+  const __m256d lo23 = _mm256_unpacklo_pd(b2, b3);
+  const __m256d hi23 = _mm256_unpackhi_pd(b2, b3);
+  return {_mm256_permute2f128_pd(lo01, lo23, 0x20),
+          _mm256_permute2f128_pd(hi01, hi23, 0x20),
+          _mm256_permute2f128_pd(lo01, lo23, 0x31),
+          _mm256_permute2f128_pd(hi01, hi23, 0x31)};
+}
+
+/// Column j of four rows, one element at a time (the last d % 4 columns).
+inline __m256d GatherRows(const double* const rows[4], int j) {
+  return _mm256_set_pd(rows[3][j], rows[2][j], rows[1][j], rows[0][j]);
+}
+
+/// acc - ((0.5·diff)·diff) / var with diff = x - mean, x broadcast.
+inline __m256d LogJointTerm(__m256d acc, const double* x, __m256d mean,
+                            __m256d var) {
+  const __m256d diff = _mm256_sub_pd(_mm256_broadcast_sd(x), mean);
+  const __m256d t =
+      _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), diff), diff);
+  return _mm256_sub_pd(acc, _mm256_div_pd(t, var));
+}
+
+/// Column j of a log-joint block, for each of its four x rows. `var` is
+/// already floored.
+inline void LogJointColumn(RowAcc4& acc, const double* const x_rows[4], int j,
+                           __m256d mean, __m256d var) {
+  acc.r0 = LogJointTerm(acc.r0, x_rows[0] + j, mean, var);
+  acc.r1 = LogJointTerm(acc.r1, x_rows[1] + j, mean, var);
+  acc.r2 = LogJointTerm(acc.r2, x_rows[2] + j, mean, var);
+  acc.r3 = LogJointTerm(acc.r3, x_rows[3] + j, mean, var);
+}
+
+/// acc + diff·diff with diff = x - center, x broadcast.
+inline __m256d DistanceTerm(__m256d acc, const double* x, __m256d center) {
+  const __m256d diff = _mm256_sub_pd(_mm256_broadcast_sd(x), center);
+  return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+}
+
+inline void DistanceColumn(RowAcc4& acc, const double* const x_rows[4],
+                           int j, __m256d center) {
+  acc.r0 = DistanceTerm(acc.r0, x_rows[0] + j, center);
+  acc.r1 = DistanceTerm(acc.r1, x_rows[1] + j, center);
+  acc.r2 = DistanceTerm(acc.r2, x_rows[2] + j, center);
+  acc.r3 = DistanceTerm(acc.r3, x_rows[3] + j, center);
+}
+
+/// Writes the first `lanes` lanes of v to dst[0..lanes).
+inline void StoreLanes(double* dst, __m256d v, int lanes) {
+  if (lanes == 4) {
+    _mm256_storeu_pd(dst, v);
+    return;
+  }
+  alignas(32) double tmp[4];
+  _mm256_store_pd(tmp, v);
+  for (int t = 0; t < lanes; ++t) dst[t] = tmp[t];
+}
+
+/// The nearest-center scan over the first `lanes` lanes of one row's
+/// distances to centers c0.., ascending, with the scalar tier's strict <
+/// (so a tie keeps the lower center and a NaN distance never wins),
+/// written as a select.
+inline void ArgminLanes(__m256d dist, int c0, int lanes, double* best,
+                        int* best_c) {
+  alignas(32) double tmp[4];
+  _mm256_store_pd(tmp, dist);
+  double b = *best;
+  int bc = *best_c;
+  for (int t = 0; t < lanes; ++t) {
+    const bool take = tmp[t] < b;
+    b = take ? tmp[t] : b;
+    bc = take ? c0 + t : bc;
+  }
+  *best = b;
+  *best_c = bc;
+}
+
+/// Mask selecting the first `lanes` (1..4) lanes.
+inline __m256i LaneMask(int lanes) {
+  return _mm256_set_epi64x(lanes > 3 ? -1 : 0, lanes > 2 ? -1 : 0,
+                           lanes > 1 ? -1 : 0, -1);
+}
+
+/// The M-step's sums for one component over 16 columns of x: out(16) =
+/// Σ_i r_i·x_i(16), ascending i from +0.0, with x_i = x + i·stride and
+/// r_i = r[i·r_stride]. The four accumulators stay in registers.
+inline void MeanSums16(const double* x, size_t stride, const double* r,
+                       size_t r_stride, int n, double* out) {
+  __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+  for (int i = 0; i < n; ++i, x += stride, r += r_stride) {
+    const __m256d rv = _mm256_broadcast_sd(r);
+    a0 = _mm256_add_pd(a0, _mm256_mul_pd(rv, _mm256_loadu_pd(x)));
+    a1 = _mm256_add_pd(a1, _mm256_mul_pd(rv, _mm256_loadu_pd(x + 4)));
+    a2 = _mm256_add_pd(a2, _mm256_mul_pd(rv, _mm256_loadu_pd(x + 8)));
+    a3 = _mm256_add_pd(a3, _mm256_mul_pd(rv, _mm256_loadu_pd(x + 12)));
+  }
+  _mm256_storeu_pd(out, a0);
+  _mm256_storeu_pd(out + 4, a1);
+  _mm256_storeu_pd(out + 8, a2);
+  _mm256_storeu_pd(out + 12, a3);
+}
+
+/// MeanSums16 for four columns.
+inline void MeanSums4(const double* x, size_t stride, const double* r,
+                      size_t r_stride, int n, double* out) {
+  __m256d a = _mm256_setzero_pd();
+  for (int i = 0; i < n; ++i, x += stride, r += r_stride) {
+    a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_broadcast_sd(r),
+                                       _mm256_loadu_pd(x)));
+  }
+  _mm256_storeu_pd(out, a);
+}
+
+/// (r·diff)·diff with diff = x - mean, a mul, a mul and no FMA.
+inline __m256d WeightedSquare(__m256d rv, __m256d x, __m256d mean) {
+  const __m256d diff = _mm256_sub_pd(x, mean);
+  return _mm256_mul_pd(_mm256_mul_pd(rv, diff), diff);
+}
+
+/// The variance sums for one component over 16 columns: out(16) =
+/// Σ_i (r_i·diff)·diff with diff = x_i - mean, ascending i from +0.0.
+inline void VarianceSums16(const double* x, size_t stride, const double* r,
+                           size_t r_stride, int n, const double* mean,
+                           double* out) {
+  const __m256d m0 = _mm256_loadu_pd(mean), m1 = _mm256_loadu_pd(mean + 4),
+                m2 = _mm256_loadu_pd(mean + 8),
+                m3 = _mm256_loadu_pd(mean + 12);
+  __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+  for (int i = 0; i < n; ++i, x += stride, r += r_stride) {
+    const __m256d rv = _mm256_broadcast_sd(r);
+    a0 = _mm256_add_pd(a0, WeightedSquare(rv, _mm256_loadu_pd(x), m0));
+    a1 = _mm256_add_pd(a1, WeightedSquare(rv, _mm256_loadu_pd(x + 4), m1));
+    a2 = _mm256_add_pd(a2, WeightedSquare(rv, _mm256_loadu_pd(x + 8), m2));
+    a3 = _mm256_add_pd(a3, WeightedSquare(rv, _mm256_loadu_pd(x + 12), m3));
+  }
+  _mm256_storeu_pd(out, a0);
+  _mm256_storeu_pd(out + 4, a1);
+  _mm256_storeu_pd(out + 8, a2);
+  _mm256_storeu_pd(out + 12, a3);
+}
+
+/// VarianceSums16 for four columns.
+inline void VarianceSums4(const double* x, size_t stride, const double* r,
+                          size_t r_stride, int n, const double* mean,
+                          double* out) {
+  const __m256d m = _mm256_loadu_pd(mean);
+  __m256d a = _mm256_setzero_pd();
+  for (int i = 0; i < n; ++i, x += stride, r += r_stride) {
+    a = _mm256_add_pd(
+        a, WeightedSquare(_mm256_broadcast_sd(r), _mm256_loadu_pd(x), m));
+  }
+  _mm256_storeu_pd(out, a);
+}
+
+}  // namespace
+
+void GmmLogJoint(const double* x, int n, int d, const double* means,
+                 const double* variances, const double* log_norm, int k,
+                 double* lj) {
+  // Blocks of four rows by four components. Each lane's chain starts at
+  // its log_norm and subtracts ascending j as in the scalar tier; the
+  // component columns are transposed once per block and column step.
+  // max(floor, var) keeps a NaN variance, as std::max(var, floor) does.
+  const __m256d floor = _mm256_set1_pd(kGmmVarianceFloor);
+  for (int c0 = 0; c0 < k; c0 += 4) {
+    const double* m_rows[4];
+    const double* v_rows[4];
+    BlockRows(means, d, c0, k, m_rows);
+    BlockRows(variances, d, c0, k, v_rows);
+    const int lanes = std::min(4, k - c0);
+    const __m256d norm = _mm256_set_pd(
+        log_norm[std::min(c0 + 3, k - 1)], log_norm[std::min(c0 + 2, k - 1)],
+        log_norm[std::min(c0 + 1, k - 1)], log_norm[c0]);
+    for (int i0 = 0; i0 < n; i0 += 4) {
+      const double* x_rows[4];
+      BlockRows(x, d, i0, n, x_rows);
+      RowAcc4 acc = {norm, norm, norm, norm};
+      int j = 0;
+      for (; j + 4 <= d; j += 4) {
+        const Columns4 m = TransposeColumns(m_rows, j);
+        const Columns4 v = TransposeColumns(v_rows, j);
+        LogJointColumn(acc, x_rows, j, m.c0, _mm256_max_pd(floor, v.c0));
+        LogJointColumn(acc, x_rows, j + 1, m.c1, _mm256_max_pd(floor, v.c1));
+        LogJointColumn(acc, x_rows, j + 2, m.c2, _mm256_max_pd(floor, v.c2));
+        LogJointColumn(acc, x_rows, j + 3, m.c3, _mm256_max_pd(floor, v.c3));
+      }
+      for (; j < d; ++j) {
+        LogJointColumn(acc, x_rows, j, GatherRows(m_rows, j),
+                       _mm256_max_pd(floor, GatherRows(v_rows, j)));
+      }
+      const int rows = std::min(4, n - i0);
+      double* out = lj + static_cast<size_t>(i0) * k + c0;
+      const __m256d row_acc[4] = {acc.r0, acc.r1, acc.r2, acc.r3};
+      for (int r = 0; r < rows; ++r) {
+        StoreLanes(out + static_cast<size_t>(r) * k, row_acc[r], lanes);
+      }
+    }
+  }
+}
+
+void GmmMStep(const double* x, int n, int d, const double* resp, int k,
+              double min_variance, double* nk, double* means,
+              double* variances) {
+  // Each sum of the scalar tier, in its order: one component at a time,
+  // every row in ascending order into register accumulators, 16 columns
+  // at a time, then four, then one. nk runs four components to a vector.
+  const size_t sd = static_cast<size_t>(d);
+  const size_t sk = static_cast<size_t>(k);
+  for (int c0 = 0; c0 < k; c0 += 4) {
+    const int lanes = std::min(4, k - c0);
+    const __m256i mask = LaneMask(lanes);
+    __m256d sum = _mm256_setzero_pd();
+    for (int i = 0; i < n; ++i) {
+      sum = _mm256_add_pd(sum, _mm256_maskload_pd(resp + i * sk + c0, mask));
+    }
+    StoreLanes(nk + c0, sum, lanes);
+  }
+  for (int c = 0; c < k; ++c) {
+    nk[c] = std::max(nk[c], 1e-10);
+    const double* r = resp + c;
+    double* m_row = means + c * sd;
+    int j = 0;
+    for (; j + 16 <= d; j += 16) MeanSums16(x + j, sd, r, sk, n, m_row + j);
+    for (; j + 4 <= d; j += 4) MeanSums4(x + j, sd, r, sk, n, m_row + j);
+    for (; j < d; ++j) {
+      double s = 0.0;
+      for (int i = 0; i < n; ++i) s += r[i * sk] * x[i * sd + j];
+      m_row[j] = s;
+    }
+    for (j = 0; j < d; ++j) m_row[j] /= nk[c];
+  }
+  for (int c = 0; c < k; ++c) {
+    const double* r = resp + c;
+    const double* m_row = means + c * sd;
+    double* v_row = variances + c * sd;
+    int j = 0;
+    for (; j + 16 <= d; j += 16) {
+      VarianceSums16(x + j, sd, r, sk, n, m_row + j, v_row + j);
+    }
+    for (; j + 4 <= d; j += 4) {
+      VarianceSums4(x + j, sd, r, sk, n, m_row + j, v_row + j);
+    }
+    for (; j < d; ++j) {
+      double s = 0.0;
+      for (int i = 0; i < n; ++i) {
+        const double diff = x[i * sd + j] - m_row[j];
+        s += r[i * sk] * diff * diff;
+      }
+      v_row[j] = s;
+    }
+    for (j = 0; j < d; ++j) {
+      v_row[j] = std::max(min_variance, v_row[j] / nk[c]);
+    }
+  }
+}
+
+void NearestCenter(const double* x, int n, int d, const double* centers,
+                   int k, int* assign, double* best) {
+  // Blocks of four rows by four centers, each lane's distance chain over
+  // ascending j from +0.0; the centers' columns are transposed once per
+  // block and column step. The argmin runs per row over ascending c.
+  for (int i0 = 0; i0 < n; i0 += 4) {
+    const double* x_rows[4];
+    BlockRows(x, d, i0, n, x_rows);
+    double best_dist[4];
+    int best_c[4] = {0, 0, 0, 0};
+    for (double& b : best_dist) b = std::numeric_limits<double>::max();
+    for (int c0 = 0; c0 < k; c0 += 4) {
+      const double* c_rows[4];
+      BlockRows(centers, d, c0, k, c_rows);
+      const __m256d zero = _mm256_setzero_pd();
+      RowAcc4 acc = {zero, zero, zero, zero};
+      int j = 0;
+      for (; j + 4 <= d; j += 4) {
+        const Columns4 col = TransposeColumns(c_rows, j);
+        DistanceColumn(acc, x_rows, j, col.c0);
+        DistanceColumn(acc, x_rows, j + 1, col.c1);
+        DistanceColumn(acc, x_rows, j + 2, col.c2);
+        DistanceColumn(acc, x_rows, j + 3, col.c3);
+      }
+      for (; j < d; ++j) DistanceColumn(acc, x_rows, j, GatherRows(c_rows, j));
+      const int lanes = std::min(4, k - c0);
+      ArgminLanes(acc.r0, c0, lanes, &best_dist[0], &best_c[0]);
+      ArgminLanes(acc.r1, c0, lanes, &best_dist[1], &best_c[1]);
+      ArgminLanes(acc.r2, c0, lanes, &best_dist[2], &best_c[2]);
+      ArgminLanes(acc.r3, c0, lanes, &best_dist[3], &best_c[3]);
+    }
+    const int rows = std::min(4, n - i0);
+    for (int r = 0; r < rows; ++r) {
+      assign[i0 + r] = best_c[r];
+      if (best != nullptr) best[i0 + r] = best_dist[r];
+    }
   }
 }
 

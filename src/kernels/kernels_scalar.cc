@@ -3,8 +3,9 @@
 // TopTwo). Every loop here except the decoder's SoftplusSigmoidSweep and
 // the branch-free Relu pair is the pre-dispatch implementation moved
 // verbatim from matrix.cc / csr.cc / assignments.cc / optimizer.cc /
-// autograd.cc / operators.cc: same loop order, same zero-skips, same
-// accumulation chains. Golden-number tests pin these bits (DESIGN.md §9),
+// autograd.cc / operators.cc / gmm.cc / kmeans.cc: same zero-skips, same
+// accumulation chains and the same loop order, except that GmmMStep walks
+// the rows outermost. Golden-number tests pin these bits (DESIGN.md §9),
 // so the AVX2 tier must reproduce them and behaviour changes never land
 // here.
 
@@ -154,6 +155,94 @@ void AdamStep(double* value, const double* grad, double* m1, double* m2,
     const double mhat = m1[i] / bc1;
     const double vhat = m2[i] / bc2;
     value[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+}
+
+void GmmLogJoint(const double* x, int n, int d, const double* means,
+                 const double* variances, const double* log_norm, int k,
+                 double* lj) {
+  for (int i = 0; i < n; ++i) {
+    const double* x_row = x + static_cast<size_t>(i) * d;
+    double* lj_row = lj + static_cast<size_t>(i) * k;
+    for (int c = 0; c < k; ++c) {
+      const double* m_row = means + static_cast<size_t>(c) * d;
+      const double* v_row = variances + static_cast<size_t>(c) * d;
+      double s = log_norm[c];
+      for (int j = 0; j < d; ++j) {
+        const double diff = x_row[j] - m_row[j];
+        s -= 0.5 * diff * diff / std::max(v_row[j], kGmmVarianceFloor);
+      }
+      lj_row[c] = s;
+    }
+  }
+}
+
+void GmmMStep(const double* x, int n, int d, const double* resp, int k,
+              double min_variance, double* nk, double* means,
+              double* variances) {
+  // One pass over the rows into the k·d mean sums, then one into the
+  // variance sums: each accumulator still sees its rows in ascending
+  // order, as the per-(c, j) loops over i did.
+  const size_t kd = static_cast<size_t>(k) * d;
+  std::fill(nk, nk + k, 0.0);
+  std::fill(means, means + kd, 0.0);
+  for (int i = 0; i < n; ++i) {
+    const double* x_row = x + static_cast<size_t>(i) * d;
+    const double* r_row = resp + static_cast<size_t>(i) * k;
+    for (int c = 0; c < k; ++c) {
+      const double r = r_row[c];
+      nk[c] += r;
+      double* m_row = means + static_cast<size_t>(c) * d;
+      for (int j = 0; j < d; ++j) m_row[j] += r * x_row[j];
+    }
+  }
+  for (int c = 0; c < k; ++c) {
+    nk[c] = std::max(nk[c], 1e-10);
+    double* m_row = means + static_cast<size_t>(c) * d;
+    for (int j = 0; j < d; ++j) m_row[j] /= nk[c];
+  }
+  std::fill(variances, variances + kd, 0.0);
+  for (int i = 0; i < n; ++i) {
+    const double* x_row = x + static_cast<size_t>(i) * d;
+    const double* r_row = resp + static_cast<size_t>(i) * k;
+    for (int c = 0; c < k; ++c) {
+      const double r = r_row[c];
+      const double* m_row = means + static_cast<size_t>(c) * d;
+      double* v_row = variances + static_cast<size_t>(c) * d;
+      for (int j = 0; j < d; ++j) {
+        const double diff = x_row[j] - m_row[j];
+        v_row[j] += r * diff * diff;
+      }
+    }
+  }
+  for (int c = 0; c < k; ++c) {
+    double* v_row = variances + static_cast<size_t>(c) * d;
+    for (int j = 0; j < d; ++j) {
+      v_row[j] = std::max(min_variance, v_row[j] / nk[c]);
+    }
+  }
+}
+
+void NearestCenter(const double* x, int n, int d, const double* centers,
+                   int k, int* assign, double* best) {
+  for (int i = 0; i < n; ++i) {
+    const double* x_row = x + static_cast<size_t>(i) * d;
+    double best_dist = std::numeric_limits<double>::max();
+    int best_c = 0;
+    for (int c = 0; c < k; ++c) {
+      const double* c_row = centers + static_cast<size_t>(c) * d;
+      double dist = 0.0;
+      for (int j = 0; j < d; ++j) {
+        const double diff = x_row[j] - c_row[j];
+        dist += diff * diff;
+      }
+      if (dist < best_dist) {
+        best_dist = dist;
+        best_c = c;
+      }
+    }
+    assign[i] = best_c;
+    if (best != nullptr) best[i] = best_dist;
   }
 }
 

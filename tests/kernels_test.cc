@@ -5,7 +5,8 @@
 // rows and columns), empty matrices, and single-row inputs, under every
 // ISA this machine supports. Every cross-tier comparison is bit-exact
 // (EXPECT_EQ, tolerance 0): the matmul family, SpMM family, soft
-// assignments, Adam and the fused decoder's sigma, gradient and loss. The
+// assignments, Adam, the GMM log joints and M-step, the nearest-center
+// search and the fused decoder's sigma, gradient and loss. The
 // fused decoder is also checked against the unfused composition it
 // replaced: gradient bit-identical, loss within 1e-13 relative (a
 // different summation order, not a different tier). Its per-segment sweep,
@@ -510,6 +511,177 @@ TEST(KernelEquivalenceTest, AdamStepBitIdenticalAcrossIsas) {
       ExpectBitEqual(vg, vw, "AdamStep(value)", isa);
       ExpectBitEqual(m1g, m1w, "AdamStep(m1)", isa);
       ExpectBitEqual(m2g, m2w, "AdamStep(m2)", isa);
+    }
+  }
+}
+
+// The clustering ops' shape corpus: the air-traffic node counts 130 and
+// 420 and a single row; d = 16 is the embedding width, 17 adds a tail to
+// every vector path and 1 and 3 leave no full vector; k spans partial
+// and full four-lane blocks.
+const int kClusterRows[] = {1, 130, 420};
+const int kClusterDims[] = {1, 3, 16, 17};
+const int kClusterKs[] = {2, 3, 4, 5, 7};
+
+/// n×d entries from N(0, 1). With `special`, five of them are set to
+/// +inf, NaN, -inf, NaN and +inf (spread over the buffer, so a row can
+/// hold both infinities and NaN).
+AlignedVector ClusterData(int n, int d, bool special, Rng& rng) {
+  AlignedVector x = RandomBuffer(static_cast<size_t>(n) * d, rng);
+  if (special) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const size_t last = x.size() - 1;
+    x[0] = inf;
+    x[last / 3] = nan;
+    x[last / 2] = -inf;
+    x[2 * last / 3] = nan;
+    x[last] = inf;
+  }
+  return x;
+}
+
+TEST(KernelEquivalenceTest, GmmLogJointBitIdenticalAcrossIsas) {
+  // Variances of 0, 1e-13 and 1e-12 all take the 1e-12 floor; the rest
+  // are ordinary, except that with the special x values component 0's
+  // first variance is NaN, which std::max(var, floor) keeps. Compared as
+  // bit patterns, ±inf and NaN in x included.
+  IsaGuard guard;
+  Rng rng(21);
+  const double kTinyVariances[] = {0.0, 1e-13, 1e-12};
+  for (const int n : kClusterRows) {
+    for (const int d : kClusterDims) {
+      for (const int k : kClusterKs) {
+        for (const bool special : {false, true}) {
+          const AlignedVector x = ClusterData(n, d, special, rng);
+          const AlignedVector means =
+              RandomBuffer(static_cast<size_t>(k) * d, rng);
+          AlignedVector variances(static_cast<size_t>(k) * d);
+          for (double& v : variances) {
+            v = rng.Bernoulli(0.4) ? kTinyVariances[rng.UniformInt(3)]
+                                   : 0.1 + rng.Uniform();
+          }
+          if (special) variances[0] = std::numeric_limits<double>::quiet_NaN();
+          const AlignedVector log_norm = RandomBuffer(k, rng);
+          const size_t outs = static_cast<size_t>(n) * k;
+          AlignedVector want(outs, 0.0);
+          kernels::scalar::GmmLogJoint(x.data(), n, d, means.data(),
+                                       variances.data(), log_norm.data(), k,
+                                       want.data());
+          for (Isa isa : kernels::SupportedIsas()) {
+            kernels::SetIsaForTesting(isa);
+            AlignedVector got(outs, 0.0);
+            kernels::GmmLogJoint(x.data(), n, d, means.data(),
+                                 variances.data(), log_norm.data(), k,
+                                 got.data());
+            ExpectSameBits(got.data(), want.data(), outs, "GmmLogJoint", isa);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// ExpectSameBits, except that a NaN matches any NaN. A column of x that
+/// holds an infinity and a NaN makes the M-step add two different NaNs:
+/// x's quiet NaN and the default NaN of 0·inf or inf - inf. Which one an
+/// add returns is its first operand's, and for a commutative add the
+/// compiler picks that order, differently in the two tiers; the output is
+/// NaN on both.
+void ExpectSameBitsOrNaN(const double* got, const double* want, size_t n,
+                         const char* what, Isa isa) {
+  for (size_t i = 0; i < n; ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    ASSERT_EQ(Bits(got[i]), Bits(want[i]))
+        << what << " at flat index " << i << ": " << got[i] << " vs "
+        << want[i] << " under " << kernels::IsaName(isa);
+  }
+}
+
+TEST(KernelEquivalenceTest, GmmMStepBitIdenticalAcrossIsas) {
+  // Responsibility rows on the simplex with some exact zeros (0·inf is
+  // NaN); min_variance 1e-6 as EM uses it, and 0 so that tiny sums pass.
+  // NaN outputs are compared as NaN (ExpectSameBitsOrNaN).
+  IsaGuard guard;
+  Rng rng(22);
+  for (const int n : kClusterRows) {
+    for (const int d : kClusterDims) {
+      for (const int k : kClusterKs) {
+        for (const bool special : {false, true}) {
+          const AlignedVector x = ClusterData(n, d, special, rng);
+          AlignedVector resp(static_cast<size_t>(n) * k);
+          for (int i = 0; i < n; ++i) {
+            double* row = resp.data() + static_cast<size_t>(i) * k;
+            double sum = 0.0;
+            for (int c = 0; c < k; ++c) {
+              row[c] = rng.Bernoulli(0.2) ? 0.0 : rng.Uniform();
+              sum += row[c];
+            }
+            for (int c = 0; c < k; ++c) row[c] = sum > 0.0 ? row[c] / sum : 0.0;
+          }
+          const double min_variance = special ? 0.0 : 1e-6;
+          const size_t kd = static_cast<size_t>(k) * d;
+          AlignedVector nk_want(k), means_want(kd), var_want(kd);
+          kernels::scalar::GmmMStep(x.data(), n, d, resp.data(), k,
+                                    min_variance, nk_want.data(),
+                                    means_want.data(), var_want.data());
+          for (Isa isa : kernels::SupportedIsas()) {
+            kernels::SetIsaForTesting(isa);
+            // Stale outputs: the op overwrites every entry.
+            AlignedVector nk(k, 7.0), means(kd, 7.0), var(kd, 7.0);
+            kernels::GmmMStep(x.data(), n, d, resp.data(), k, min_variance,
+                              nk.data(), means.data(), var.data());
+            ExpectSameBits(nk.data(), nk_want.data(), k, "GmmMStep(nk)", isa);
+            ExpectSameBitsOrNaN(means.data(), means_want.data(), kd,
+                                "GmmMStep(means)", isa);
+            ExpectSameBitsOrNaN(var.data(), var_want.data(), kd,
+                                "GmmMStep(variances)", isa);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, NearestCenterBitIdenticalAcrossIsas) {
+  // The last center repeats the first, so every row ties and the lower
+  // index must win on both tiers; a NaN distance never wins. Checked with
+  // and without the `best` output.
+  IsaGuard guard;
+  Rng rng(23);
+  for (const int n : kClusterRows) {
+    for (const int d : kClusterDims) {
+      for (const int k : kClusterKs) {
+        for (const bool special : {false, true}) {
+          const AlignedVector x = ClusterData(n, d, special, rng);
+          AlignedVector centers =
+              RandomBuffer(static_cast<size_t>(k) * d, rng);
+          std::copy_n(centers.begin(), d, centers.end() - d);
+          std::vector<int> assign_want(n, -1);
+          AlignedVector best_want(n, 0.0);
+          kernels::scalar::NearestCenter(x.data(), n, d, centers.data(), k,
+                                         assign_want.data(),
+                                         best_want.data());
+          for (Isa isa : kernels::SupportedIsas()) {
+            kernels::SetIsaForTesting(isa);
+            std::vector<int> assign(n, -1);
+            AlignedVector best(n, 0.0);
+            kernels::NearestCenter(x.data(), n, d, centers.data(), k,
+                                   assign.data(), best.data());
+            EXPECT_EQ(assign, assign_want)
+                << "NearestCenter under " << kernels::IsaName(isa);
+            ExpectSameBits(best.data(), best_want.data(), n,
+                           "NearestCenter(best)", isa);
+            std::vector<int> assign_only(n, -1);
+            kernels::NearestCenter(x.data(), n, d, centers.data(), k,
+                                   assign_only.data(), nullptr);
+            EXPECT_EQ(assign_only, assign_want)
+                << "NearestCenter without best under "
+                << kernels::IsaName(isa);
+          }
+          for (int i = 0; i < n; ++i) ASSERT_NE(assign_want[i], k - 1);
+        }
+      }
     }
   }
 }

@@ -1,8 +1,16 @@
 #include "src/core/rgae_trainer.h"
 
+#include <cstdint>
+#include <cstring>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/graph/generators.h"
+#include "src/kernels/dispatch.h"
+#include "src/models/gae.h"
 #include "src/models/model_factory.h"
 
 namespace rgae {
@@ -205,6 +213,95 @@ TEST(TrainerTest, ImpossibleAlphaFallsBackToConfidentSubset) {
   for (const EpochRecord& r : result.trace) {
     EXPECT_GT(r.omega_size, 0);
     EXPECT_LE(r.omega_size, std::max(3, n / 20) + 3);
+  }
+}
+
+/// GAE that counts its deterministic encodes. Training steps encode
+/// through BuildLossOnTape, so every counted call is an Embed().
+class CountingGae : public Gae {
+ public:
+  using Gae::Gae;
+  int encodes() const { return encodes_; }
+
+ protected:
+  Var EncodeOnTape(Tape* tape) const override {
+    ++encodes_;
+    return Gae::EncodeOnTape(tape);
+  }
+
+ private:
+  mutable int encodes_ = 0;
+};
+
+TEST(TrainerTest, FirstGroupRefreshEmbedsOnce) {
+  // Refreshes at pretrain epochs 10, 15, 20 and 25: Ξ's GMM fit, the
+  // Student-t scores and Υ all read one embedding per refresh. The plain
+  // run embeds never.
+  const AttributedGraph g = TinyGraph();
+  TrainerOptions opts = TinyTrainerOptions();
+  opts.first_group_transform_start = 10;
+  opts.xi.alpha1 = 0.2;
+  CountingGae plain_model(g, TinyModelOptions());
+  RGaeTrainer plain(&plain_model, opts);
+  plain.Pretrain();
+  EXPECT_EQ(plain_model.encodes(), 0);
+
+  opts.use_operators = true;
+  CountingGae model(g, TinyModelOptions());
+  RGaeTrainer trainer(&model, opts);
+  trainer.Pretrain();
+  EXPECT_EQ(model.encodes(), 4);
+  EXPECT_NE(trainer.self_graph().edges(), g.edges());
+}
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// A first-group R Pretrain, refreshes included, pinned to one kernel
+/// tier: the final weights and the self-supervision graph's edges.
+struct PinnedPretrain {
+  std::vector<Matrix> weights;
+  std::set<std::pair<int, int>> edges;
+};
+
+PinnedPretrain PretrainPinned(const AttributedGraph& g, kernels::Isa isa) {
+  kernels::SetIsaForTesting(isa);
+  auto model = CreateModel("GAE", g, TinyModelOptions());
+  TrainerOptions opts = TinyTrainerOptions();
+  opts.use_operators = true;
+  opts.first_group_transform_start = 10;
+  opts.m2 = 2;
+  opts.xi.alpha1 = 0.2;
+  RGaeTrainer trainer(model.get(), opts);
+  trainer.Pretrain();
+  return {model->SaveWeights(), trainer.self_graph().edges()};
+}
+
+TEST(TrainerTest, FirstGroupRPretrainIsBitIdenticalAcrossKernelTiers) {
+  // Ten refreshes (epochs 10, 12, …, 28), each with two GMM fits, so the
+  // GMM and k-means kernels feed Υ's edits and the following training.
+  if (kernels::BestSupportedIsa() != kernels::Isa::kAvx2) {
+    GTEST_SKIP() << "host has no AVX2 tier";
+  }
+  const kernels::Isa saved = kernels::SelectedIsa();
+  const AttributedGraph g = TinyGraph();
+  const PinnedPretrain scalar = PretrainPinned(g, kernels::Isa::kScalar);
+  const PinnedPretrain avx2 = PretrainPinned(g, kernels::Isa::kAvx2);
+  kernels::SetIsaForTesting(saved);
+  EXPECT_NE(scalar.edges, g.edges());
+  EXPECT_EQ(avx2.edges, scalar.edges);
+  ASSERT_EQ(avx2.weights.size(), scalar.weights.size());
+  for (size_t p = 0; p < scalar.weights.size(); ++p) {
+    const Matrix& want = scalar.weights[p];
+    const Matrix& got = avx2.weights[p];
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(Bits(got.data()[i]), Bits(want.data()[i]))
+          << "weight " << p << " at flat index " << i;
+    }
   }
 }
 
