@@ -1,8 +1,10 @@
 #include "src/core/operators.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/clustering/assignments.h"
 #include "src/kernels/kernels.h"
@@ -105,51 +107,57 @@ AttributedGraph OperatorUpsilon(const AttributedGraph& original,
     }
   }
 
-  // Guideline 2: add star edges; drop cross-cluster edges within Ω.
+  // Guideline 2: add star edges; drop cross-cluster edges within Ω. A star
+  // edge joins two nodes of one cluster and a dropped edge two of different
+  // clusters, so no edit undoes another, and the per-node edits of
+  // Algorithm 2 come down to one merge of the sorted star edges into the
+  // original edges, less the dropped ones.
   std::vector<char> in_omega(original.num_nodes(), 0);
   for (int i : omega) in_omega[i] = 1;
   const bool labeled = original.has_labels();
-  // Adjacency lists of the original graph, built once.
-  std::vector<std::vector<int>> neighbors(original.num_nodes());
-  for (const auto& [a, b] : original.edges()) {
-    neighbors[a].push_back(b);
-    neighbors[b].push_back(a);
-  }
-  for (int i : omega) {
-    const int k1 = hard[i];
-    const int centroid = st->centroids[k1];
-    if (options.add_edges && centroid >= 0 && centroid != i &&
-        !out.HasEdge(i, centroid)) {
+  const auto same_label = [&](int a, int b) {
+    return original.labels()[a] == original.labels()[b];
+  };
+  std::vector<std::pair<int, int>> star;
+  if (options.add_edges) {
+    for (int i : omega) {
+      const int centroid = st->centroids[hard[i]];
       // Only connect when the centroid itself agrees on the cluster.
-      if (hard[centroid] == k1 && out.AddEdge(i, centroid)) {
-        ++st->added_edges;
-        if (labeled) {
-          if (original.labels()[i] == original.labels()[centroid]) {
-            ++st->added_true;
-          } else {
-            ++st->added_false;
-          }
-        }
+      if (centroid >= 0 && centroid != i && hard[centroid] == hard[i]) {
+        star.push_back(std::minmax(i, centroid));
       }
     }
-    if (options.drop_edges) {
-      // Iterate over the *original* neighborhood of i (Alg. 2, l.12).
-      for (int l : neighbors[i]) {
-        if (in_omega[l] && hard[l] != k1) {
-          if (out.RemoveEdge(i, l)) {
-            ++st->dropped_edges;
-            if (labeled) {
-              if (original.labels()[i] == original.labels()[l]) {
-                ++st->dropped_true;
-              } else {
-                ++st->dropped_false;
-              }
-            }
-          }
-        }
-      }
-    }
+    std::sort(star.begin(), star.end());
+    star.erase(std::unique(star.begin(), star.end()), star.end());
   }
+  const auto add = [&](const std::pair<int, int>& e) {
+    ++st->added_edges;
+    if (labeled) ++(same_label(e.first, e.second) ? st->added_true
+                                                  : st->added_false);
+  };
+  std::vector<std::pair<int, int>> edges;
+  edges.reserve(original.edges().size() + star.size());
+  auto next_star = star.begin();
+  for (const std::pair<int, int>& e : original.edges()) {
+    for (; next_star != star.end() && *next_star < e; ++next_star) {
+      add(*next_star);
+      edges.push_back(*next_star);
+    }
+    if (next_star != star.end() && *next_star == e) ++next_star;  // Linked.
+    const auto [a, b] = e;
+    if (options.drop_edges && in_omega[a] && in_omega[b] &&
+        hard[a] != hard[b]) {
+      ++st->dropped_edges;
+      if (labeled) ++(same_label(a, b) ? st->dropped_true : st->dropped_false);
+      continue;
+    }
+    edges.push_back(e);
+  }
+  for (; next_star != star.end(); ++next_star) {
+    add(*next_star);
+    edges.push_back(*next_star);
+  }
+  out.SetEdges(std::move(edges));
   if (obs::Enabled()) {
     RGAE_COUNT("op.upsilon.calls");
     static obs::Counter* const added =

@@ -65,7 +65,7 @@ Matrix RGaeTrainer::CurrentSoftAssignments(const Matrix& z) {
   // Before InitClusteringHead (e.g. XiScores during pretraining) the head's
   // parameters are placeholders, so second-group models also take the GMM
   // path until the head is ready.
-  if (model_->clustering_head_ready()) return model_->SoftAssignments();
+  if (model_->clustering_head_ready()) return model_->SoftAssignments(z);
   // First-group models: fit a GMM on the embedding (Eq. 15 style soft
   // scores come out of the responsibilities directly).
   Rng fork = rng_.Fork();

@@ -1,5 +1,7 @@
 #include "src/graph/corrupt.h"
 
+#include <numeric>
+#include <utility>
 #include <vector>
 
 namespace rgae {
@@ -9,6 +11,7 @@ int AddRandomEdges(AttributedGraph* g, int count, Rng& rng) {
   if (n < 2 || count <= 0) return 0;  // No addable pair exists.
   // A (near-)complete graph exhausts max_attempts instead of looping
   // forever: the return value reports how many edges actually fit.
+  EdgeBatch batch(g);
   int added = 0;
   int attempts = 0;
   const int max_attempts = count * 50 + 100;
@@ -17,22 +20,33 @@ int AddRandomEdges(AttributedGraph* g, int count, Rng& rng) {
     const int u = rng.UniformInt(n);
     const int v = rng.UniformInt(n);
     if (u == v) continue;
-    if (g->AddEdge(u, v)) ++added;
+    if (batch.Add(u, v)) ++added;
   }
+  batch.Commit();
   return added;
 }
 
 int DropRandomEdges(AttributedGraph* g, int count, Rng& rng) {
-  std::vector<std::pair<int, int>> edges(g->edges().begin(),
-                                         g->edges().end());
+  // Each draw picks one of the edges still kept, by position in a pool that
+  // swaps its last entry into the hole; the survivors are committed once.
+  const std::vector<std::pair<int, int>>& edges = g->edges();
+  std::vector<int> pool(edges.size());
+  std::iota(pool.begin(), pool.end(), 0);
+  std::vector<char> drop(edges.size(), 0);
   int dropped = 0;
-  while (dropped < count && !edges.empty()) {
-    const int idx = rng.UniformInt(static_cast<int>(edges.size()));
-    g->RemoveEdge(edges[idx].first, edges[idx].second);
-    edges[idx] = edges.back();
-    edges.pop_back();
+  while (dropped < count && !pool.empty()) {
+    const int idx = rng.UniformInt(static_cast<int>(pool.size()));
+    drop[pool[idx]] = 1;
+    pool[idx] = pool.back();
+    pool.pop_back();
     ++dropped;
   }
+  std::vector<std::pair<int, int>> kept;
+  kept.reserve(edges.size() - dropped);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    if (!drop[i]) kept.push_back(edges[i]);
+  }
+  g->SetEdges(std::move(kept));
   return dropped;
 }
 

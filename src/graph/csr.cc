@@ -43,6 +43,32 @@ CsrMatrix CsrMatrix::FromTriplets(int rows, int cols,
   return m;
 }
 
+CsrMatrix CsrMatrix::FromSortedRows(int rows, int cols,
+                                    std::vector<int> row_ptr,
+                                    std::vector<int> col_idx,
+                                    std::vector<double> values) {
+  assert(rows >= 0 && cols >= 0);
+  assert(row_ptr.size() == static_cast<size_t>(rows) + 1 && row_ptr[0] == 0);
+  assert(col_idx.size() == values.size() &&
+         static_cast<size_t>(row_ptr[rows]) == col_idx.size());
+#ifndef NDEBUG
+  for (int r = 0; r < rows; ++r) {
+    assert(row_ptr[r] <= row_ptr[r + 1]);
+    for (int k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      assert(col_idx[k] >= 0 && col_idx[k] < cols);
+      assert(k == row_ptr[r] || col_idx[k - 1] < col_idx[k]);
+    }
+  }
+#endif
+  CsrMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 CsrMatrix CsrMatrix::FromDense(const Matrix& dense) {
   CsrMatrix m;
   m.rows_ = dense.rows();
@@ -147,9 +173,32 @@ CsrMatrix CsrMatrix::SymmetricallyNormalized() const {
 
 CsrMatrix CsrMatrix::AddSelfLoops() const {
   assert(rows_ == cols_);
-  std::vector<Triplet> t = ToTriplets();
-  for (int i = 0; i < rows_; ++i) t.push_back({i, i, 1.0});
-  return FromTriplets(rows_, cols_, std::move(t));
+  CsrMatrix out;
+  out.rows_ = rows_;
+  out.cols_ = cols_;
+  out.row_ptr_.resize(static_cast<size_t>(rows_) + 1);
+  out.col_idx_.reserve(col_idx_.size() + rows_);
+  out.values_.reserve(values_.size() + rows_);
+  for (int r = 0; r < rows_; ++r) {
+    int k = row_ptr_[r];
+    const int end = row_ptr_[r + 1];
+    for (; k < end && col_idx_[k] < r; ++k) {
+      out.col_idx_.push_back(col_idx_[k]);
+      out.values_.push_back(values_[k]);
+    }
+    // A stored diagonal entry v becomes v + 1.0, the sum FromTriplets
+    // forms for the duplicate (r, r).
+    double diagonal = 1.0;
+    if (k < end && col_idx_[k] == r) diagonal = values_[k++] + 1.0;
+    out.col_idx_.push_back(r);
+    out.values_.push_back(diagonal);
+    out.col_idx_.insert(out.col_idx_.end(), col_idx_.begin() + k,
+                        col_idx_.begin() + end);
+    out.values_.insert(out.values_.end(), values_.begin() + k,
+                       values_.begin() + end);
+    out.row_ptr_[r + 1] = static_cast<int>(out.col_idx_.size());
+  }
+  return out;
 }
 
 Matrix CsrMatrix::ToDense() const {

@@ -29,6 +29,13 @@ class CsrMatrix {
   static CsrMatrix FromTriplets(int rows, int cols,
                                 std::vector<Triplet> triplets);
 
+  /// Takes a CSR layout that is already valid: `row_ptr` holds rows + 1
+  /// non-decreasing offsets from 0 to nnz, and each row's columns are
+  /// strictly ascending in [0, cols). Checked by assert only.
+  static CsrMatrix FromSortedRows(int rows, int cols, std::vector<int> row_ptr,
+                                  std::vector<int> col_idx,
+                                  std::vector<double> values);
+
   /// Stores the entries of `dense` that are != 0.0, row-major: 0.0 and
   /// -0.0 are dropped, NaN and ±inf are kept. A product over the result
   /// adds the same terms in the same order as the zero-skipping dense
@@ -72,7 +79,9 @@ class CsrMatrix {
   /// sum are left as zero rows. The matrix must be square.
   CsrMatrix SymmetricallyNormalized() const;
 
-  /// Returns this + identity (adds 1.0 to each diagonal entry); square only.
+  /// Returns this + identity (adds 1.0 to each diagonal entry, stored or
+  /// not); square only. Merges the diagonal into each row in one pass and
+  /// gives the bits of `FromTriplets` over the entries plus the diagonal.
   CsrMatrix AddSelfLoops() const;
 
   /// Returns a dense copy; intended for small matrices and tests.

@@ -56,6 +56,7 @@ AttributedGraph MakeCitationLike(const CitationLikeOptions& o, Rng& rng) {
 
   // Edges: sparse SBM sampled by expected edge counts per block pair, which
   // keeps generation O(E) instead of O(N²).
+  EdgeBatch batch(&g);
   auto sample_edges = [&](const std::vector<int>& us,
                           const std::vector<int>& vs, double expected,
                           bool same) {
@@ -69,7 +70,7 @@ AttributedGraph MakeCitationLike(const CitationLikeOptions& o, Rng& rng) {
       const int v = vs[rng.UniformInt(static_cast<int>(vs.size()))];
       if (u == v) continue;
       if (same || labels[u] != labels[v]) {
-        if (g.AddEdge(u, v)) ++added;
+        if (batch.Add(u, v)) ++added;
       }
     }
   };
@@ -81,6 +82,7 @@ AttributedGraph MakeCitationLike(const CitationLikeOptions& o, Rng& rng) {
                  members[c].size() * o.intra_degree / 2.0, /*same=*/true);
   }
   sample_edges(all, all, o.num_nodes * o.inter_degree / 2.0, /*same=*/false);
+  batch.Commit();
 
   // Features: per-cluster topic words + background noise.
   Matrix x(o.num_nodes, o.feature_dim);
@@ -133,6 +135,7 @@ AttributedGraph MakeAirTrafficLike(const AirTrafficLikeOptions& o, Rng& rng) {
                                              cumulative.end(), x) -
                             cumulative.begin());
   };
+  EdgeBatch batch(&g);
   int added = 0;
   int attempts = 0;
   const int max_attempts = target_edges * 30 + 100;
@@ -141,8 +144,9 @@ AttributedGraph MakeAirTrafficLike(const AirTrafficLikeOptions& o, Rng& rng) {
     const int u = draw_node();
     const int v = draw_node();
     if (u == v) continue;
-    if (g.AddEdge(u, v)) ++added;
+    if (batch.Add(u, v)) ++added;
   }
+  batch.Commit();
 
   g.SetOneHotDegreeFeatures(o.max_degree_bucket);
   g.NormalizeFeatureRows();  // One-hot rows are already unit norm; harmless.

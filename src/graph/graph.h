@@ -1,8 +1,9 @@
 #ifndef RGAE_GRAPH_GRAPH_H_
 #define RGAE_GRAPH_GRAPH_H_
 
-#include <set>
+#include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -14,9 +15,13 @@ namespace rgae {
 /// An undirected attributed graph G = (V, E, X) with optional ground-truth
 /// labels, the primary input of every model in the library.
 ///
-/// Edges are stored as a set of canonical (min, max) pairs with no
-/// self-loops; `Adjacency()` materializes the symmetric 0/1 CSR matrix and
-/// `NormalizedAdjacency()` the GCN filter à = D^-1/2 (A + I) D^-1/2.
+/// Edges are stored as one sorted, duplicate-free array of canonical
+/// (min, max) pairs with no self-loops. `HasEdge` binary-searches it;
+/// `AddEdge` and `RemoveEdge` shift its tail, O(E) each, so code that edits
+/// many edges collects them and commits once (`SetEdges`, `EdgeBatch`).
+/// `Adjacency()` fills the symmetric 0/1 CSR matrix in one pass over the
+/// array, with no sort, and `NormalizedAdjacency()` the GCN filter
+/// à = D^-1/2 (A + I) D^-1/2.
 class AttributedGraph {
  public:
   AttributedGraph() = default;
@@ -36,8 +41,13 @@ class AttributedGraph {
   /// True if {u, v} is an edge.
   bool HasEdge(int u, int v) const;
 
-  /// All edges as canonical (u < v) pairs, sorted.
-  const std::set<std::pair<int, int>>& edges() const { return edges_; }
+  /// All edges as canonical (u < v) pairs, sorted ascending, no duplicates.
+  const std::vector<std::pair<int, int>>& edges() const { return edges_; }
+
+  /// Replaces the edge set with `edges`, given in any orientation and order;
+  /// self-loops and duplicates are dropped. A list that is already canonical
+  /// and strictly ascending is taken as is after one O(E) check.
+  void SetEdges(std::vector<std::pair<int, int>> edges);
 
   /// Degree of node u (number of incident edges).
   int Degree(int u) const;
@@ -74,9 +84,28 @@ class AttributedGraph {
 
  private:
   int num_nodes_ = 0;
-  std::set<std::pair<int, int>> edges_;
+  std::vector<std::pair<int, int>> edges_;
   Matrix features_;
   std::vector<int> labels_;
+};
+
+/// Adds many edges to a graph with one sorted merge. `Add` answers like
+/// `AttributedGraph::AddEdge` (false for a self-loop or an edge already in
+/// the graph or the batch), so a generator's draw loop runs unchanged;
+/// `Commit` merges the batch into the graph.
+class EdgeBatch {
+ public:
+  explicit EdgeBatch(AttributedGraph* graph) : graph_(graph) {}
+
+  /// Queues {u, v}; true if it is neither a self-loop nor already in the
+  /// graph or the batch.
+  bool Add(int u, int v);
+  /// Merges the batch into the graph and empties it.
+  void Commit();
+
+ private:
+  AttributedGraph* graph_;
+  std::unordered_set<int64_t> added_;  // u·n + v of each added (u, v).
 };
 
 /// Builds the clustering graph A^clus of Proposition 2: a_ij = 1/|C_k| when

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <utility>
+#include <vector>
 
 namespace rgae {
 
@@ -54,6 +56,7 @@ bool LoadGraph(const std::string& path, AttributedGraph* g,
                            ", feature dim " + std::to_string(fdim) + ")");
   }
   *g = AttributedGraph(n);
+  std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < e; ++i) {
     int u = 0, v = 0;
     in >> u >> v;
@@ -69,8 +72,9 @@ bool LoadGraph(const std::string& path, AttributedGraph* g,
       return Fail(error, "edge " + std::to_string(i) + " is a self-loop on " +
                              std::to_string(u));
     }
-    g->AddEdge(u, v);
+    edges.emplace_back(u, v);
   }
+  g->SetEdges(std::move(edges));  // Duplicates are dropped, as AddEdge does.
   if (fdim > 0) {
     Matrix x(n, fdim);
     for (int r = 0; r < n; ++r) {

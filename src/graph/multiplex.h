@@ -2,7 +2,9 @@
 #define RGAE_GRAPH_MULTIPLEX_H_
 
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/graph/generators.h"

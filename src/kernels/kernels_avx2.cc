@@ -392,7 +392,8 @@ void Gaussian(const double* z, int n, int d, const double* centers,
         const __m256d zv = _mm256_set1_pd(z_row[c]);
         const __m256d diff = _mm256_sub_pd(zv, GatherColumn(c_block, d, c));
         const __m256d sq = _mm256_mul_pd(diff, diff);
-        const __m256d var = _mm256_max_pd(GatherColumn(v_block, d, c), eps);
+        // max(eps, var) returns a NaN variance, as std::max(var, 1e-6) does.
+        const __m256d var = _mm256_max_pd(eps, GatherColumn(v_block, d, c));
         s = _mm256_add_pd(s, _mm256_div_pd(sq, var));
       }
       _mm256_storeu_pd(p_row + j, _mm256_mul_pd(half, s));

@@ -27,9 +27,9 @@ void Dgae::RefreshTarget() {
   steps_since_refresh_ = 0;
 }
 
-Matrix Dgae::SoftAssignments() const {
+Matrix Dgae::SoftAssignments(const Matrix& z) const {
   assert(head_ready_);
-  return StudentTAssignments(Embed(), centers_.value);
+  return StudentTAssignments(z, centers_.value);
 }
 
 serve::ModelSnapshot Dgae::ExportSnapshot() const {

@@ -30,7 +30,8 @@ class Dgae : public Gae {
   bool has_clustering_head() const override { return true; }
   bool clustering_head_ready() const override { return head_ready_; }
   void InitClusteringHead(int num_clusters, Rng& rng) override;
-  Matrix SoftAssignments() const override;
+  using GaeModel::SoftAssignments;
+  Matrix SoftAssignments(const Matrix& z) const override;
   /// Adds the trained DEC centers as a Student-t head (once initialized).
   serve::ModelSnapshot ExportSnapshot() const override;
 

@@ -86,8 +86,8 @@ void GmmVgae::RefreshMixture() {
   steps_since_refresh_ = 0;
 }
 
-Matrix GmmVgae::SoftAssignments() const {
-  return CurrentMixture().Responsibilities(Embed());
+Matrix GmmVgae::SoftAssignments(const Matrix& z) const {
+  return CurrentMixture().Responsibilities(z);
 }
 
 serve::ModelSnapshot GmmVgae::ExportSnapshot() const {

@@ -31,7 +31,8 @@ class GmmVgae : public Vgae {
   bool has_clustering_head() const override { return true; }
   bool clustering_head_ready() const override { return head_ready_; }
   void InitClusteringHead(int num_clusters, Rng& rng) override;
-  Matrix SoftAssignments() const override;
+  using GaeModel::SoftAssignments;
+  Matrix SoftAssignments(const Matrix& z) const override;
   /// Adds the tracked mixture (post-transform: variances = exp(logvars),
   /// softmaxed weights) as a GMM head (once initialized).
   serve::ModelSnapshot ExportSnapshot() const override;

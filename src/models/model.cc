@@ -77,7 +77,7 @@ void GaeModel::InitClusteringHead(int /*num_clusters*/, Rng& /*rng*/) {
   assert(false && "model has no clustering head");
 }
 
-Matrix GaeModel::SoftAssignments() const {
+Matrix GaeModel::SoftAssignments(const Matrix& /*z*/) const {
   assert(false && "model has no clustering head");
   return Matrix();
 }

@@ -106,9 +106,12 @@ class GaeModel {
   /// Initializes the clustering head from the current embedding (k-means /
   /// GMM fit). Only valid when `has_clustering_head()`.
   virtual void InitClusteringHead(int num_clusters, Rng& rng);
-  /// Soft assignment matrix P (N x K) from the clustering head. Only valid
-  /// when `has_clustering_head()`.
-  virtual Matrix SoftAssignments() const;
+  /// Soft assignment matrix P (N x K): the clustering head applied to the
+  /// embedding `z` (N x d), e.g. one `Embed()` shared by several readers.
+  /// Only valid when `has_clustering_head()`.
+  virtual Matrix SoftAssignments(const Matrix& z) const;
+  /// `SoftAssignments(Embed())`.
+  Matrix SoftAssignments() const { return SoftAssignments(Embed()); }
 
   /// Gradient snapshot of the embedded clustering loss L_C(Z, A^clus) built
   /// from the given hard assignments, restricted to `omega` (empty = all

@@ -1,10 +1,15 @@
 #include "src/graph/csr.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/tensor/random.h"
 
 namespace rgae {
 namespace {
@@ -172,6 +177,69 @@ TEST(CsrTest, FromDenseRoundTripsThroughToDense) {
   for (size_t i = 0; i < dense.size(); ++i) {
     EXPECT_EQ(back.data()[i], dense.data()[i]) << "flat index " << i;
   }
+}
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// Same shape, row_ptr and col_idx, and the same value bits.
+void ExpectSameCsr(const CsrMatrix& got, const CsrMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  for (size_t i = 0; i < want.values().size(); ++i) {
+    EXPECT_EQ(Bits(got.values()[i]), Bits(want.values()[i]))
+        << "value " << i;
+  }
+}
+
+/// `m` + I through FromTriplets, as AddSelfLoops once built it.
+CsrMatrix SelfLoopsByTriplets(const CsrMatrix& m) {
+  std::vector<Triplet> t = m.ToTriplets();
+  for (int i = 0; i < m.rows(); ++i) t.push_back({i, i, 1.0});
+  return CsrMatrix::FromTriplets(m.rows(), m.cols(), std::move(t));
+}
+
+TEST(CsrTest, AddSelfLoopsMatchesTripletPath) {
+  // Stored diagonals of every kind: ordinary, -1.0 (the sum is an explicit
+  // 0.0), an explicit 0.0, -0.0, ±inf and NaN; rows with no entry at all;
+  // rows whose entries all lie left or right of the diagonal.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double special[] = {2.5, -1.0, 0.0, -0.0, inf, -inf, nan};
+  Rng rng(17);
+  for (const int n : {0, 1, 2, 7, 40}) {
+    for (const double density : {0.0, 0.1, 0.5, 1.0}) {
+      std::vector<Triplet> t;
+      for (int r = 0; r < n; ++r) {
+        for (int c = 0; c < n; ++c) {
+          if (!rng.Bernoulli(density)) continue;
+          const double v = r == c ? special[rng.UniformInt(7)]
+                                  : rng.Gaussian(0.0, 1.0);
+          t.push_back({r, c, v});
+        }
+      }
+      const CsrMatrix m = CsrMatrix::FromTriplets(n, n, std::move(t));
+      SCOPED_TRACE("n " + std::to_string(n) + ", density " +
+                   std::to_string(density));
+      ExpectSameCsr(m.AddSelfLoops(), SelfLoopsByTriplets(m));
+    }
+  }
+}
+
+TEST(CsrTest, FromSortedRowsTakesTheLayout) {
+  const CsrMatrix m = CsrMatrix::FromSortedRows(
+      3, 4, {0, 2, 2, 3}, {0, 3, 1}, {1.5, -2.0, 4.0});
+  ExpectSameCsr(m, CsrMatrix::FromTriplets(
+                       3, 4, {{0, 0, 1.5}, {0, 3, -2.0}, {2, 1, 4.0}}));
+  const CsrMatrix empty = CsrMatrix::FromSortedRows(0, 0, {0}, {}, {});
+  EXPECT_EQ(empty.rows(), 0);
+  EXPECT_EQ(empty.nnz(), 0);
 }
 
 TEST(CsrTest, Equality) {

@@ -1,6 +1,11 @@
 #include "src/eval/datasets.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
+
+#include "src/graph/corrupt.h"
+#include "src/tensor/random.h"
 
 namespace rgae {
 namespace {
@@ -40,6 +45,82 @@ TEST_P(DatasetGenerationTest, DeterministicPerSeed) {
   EXPECT_EQ(a.labels(), b.labels());
   const AttributedGraph c = MakeDataset(GetParam(), 8);
   EXPECT_NE(a.edges(), c.edges());
+}
+
+/// FNV-1a over the endpoints of every edge, in `edges()` order.
+uint64_t EdgeListHash(const AttributedGraph& g) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const auto& [u, v] : g.edges()) {
+    for (const int x : {u, v}) {
+      h ^= static_cast<uint32_t>(x);
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(DatasetsTest, EdgeListsMatchPinnedHashes) {
+  // Recorded when edges were still kept in a std::set: the generators'
+  // batched commits must give the same graphs from the same draws.
+  struct Pinned {
+    const char* name;
+    uint64_t seed;
+    int edges;
+    uint64_t hash;
+  };
+  const Pinned pinned[] = {
+      {"Cora", 1, 1261, 0x22ba43d260bbe64aULL},
+      {"Cora", 2, 1260, 0xa57bf95b28fa6b6cULL},
+      {"Cora", 3, 1260, 0xb980675ab5927fadULL},
+      {"Citeseer", 1, 952, 0xf2fde13286e7c9dcULL},
+      {"Citeseer", 2, 952, 0xdfc29e373a208354ULL},
+      {"Citeseer", 3, 952, 0x6b50814c3eb895caULL},
+      {"Pubmed", 1, 2161, 0x83b07d6ef0517f14ULL},
+      {"Pubmed", 2, 2160, 0x807530513986b455ULL},
+      {"Pubmed", 3, 2161, 0x3b1d3bfae949a616ULL},
+      {"USA", 1, 2508, 0x46442d07c75bbc8bULL},
+      {"USA", 2, 2652, 0x950995437c086671ULL},
+      {"USA", 3, 2633, 0x6e287ea1a3609272ULL},
+      {"Europe", 1, 2198, 0xf8110a103ddbd9c5ULL},
+      {"Europe", 2, 2385, 0xa83b3f831ee6bf29ULL},
+      {"Europe", 3, 2345, 0xfe525d199998afbaULL},
+      {"Brazil", 1, 1097, 0xc66d00f70dedc5c4ULL},
+      {"Brazil", 2, 1203, 0x4a68318020b0f136ULL},
+      {"Brazil", 3, 1176, 0xb6a5dd4473cfb148ULL},
+  };
+  for (const Pinned& p : pinned) {
+    const AttributedGraph g = MakeDataset(p.name, p.seed);
+    EXPECT_EQ(g.num_edges(), p.edges) << p.name << " seed " << p.seed;
+    EXPECT_EQ(EdgeListHash(g), p.hash) << p.name << " seed " << p.seed;
+  }
+}
+
+TEST(DatasetsTest, CorruptedEdgeListsMatchPinnedHashes) {
+  // AddRandomEdges and DropRandomEdges commit their edits once; recorded
+  // with per-edge edits on a std::set, so the draws and their order must
+  // be unchanged.
+  struct Pinned {
+    const char* name;
+    int added_edges;
+    uint64_t added_hash;
+    int dropped_edges;
+    uint64_t dropped_hash;
+  };
+  const Pinned pinned[] = {
+      {"Cora", 1561, 0xfc77d218c293476cULL, 1061, 0x0ee1ccb3897f2701ULL},
+      {"USA", 2808, 0x6fba3bd9166c2630ULL, 2308, 0xadc203a89f1bb302ULL},
+  };
+  for (const Pinned& p : pinned) {
+    AttributedGraph g = MakeDataset(p.name, 1);
+    Rng add_rng(11);
+    EXPECT_EQ(AddRandomEdges(&g, 300, add_rng), 300) << p.name;
+    EXPECT_EQ(g.num_edges(), p.added_edges) << p.name;
+    EXPECT_EQ(EdgeListHash(g), p.added_hash) << p.name;
+    Rng drop_rng(12);
+    EXPECT_EQ(DropRandomEdges(&g, 500, drop_rng), 500) << p.name;
+    EXPECT_EQ(g.num_edges(), p.dropped_edges) << p.name;
+    EXPECT_EQ(EdgeListHash(g), p.dropped_hash) << p.name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDatasets, DatasetGenerationTest,

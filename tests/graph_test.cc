@@ -1,6 +1,12 @@
 #include "src/graph/graph.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/tensor/random.h"
 
 namespace rgae {
 namespace {
@@ -36,6 +42,91 @@ TEST(AttributedGraphTest, AdjacencyIsSymmetricNoSelfLoops) {
   EXPECT_DOUBLE_EQ(a.At(2, 0), 1.0);
   EXPECT_DOUBLE_EQ(a.At(0, 0), 0.0);
   EXPECT_EQ(a.nnz(), 2);
+}
+
+/// The symmetric 0/1 adjacency through FromTriplets, as Adjacency() once
+/// built it.
+CsrMatrix AdjacencyByTriplets(const AttributedGraph& g) {
+  std::vector<Triplet> t;
+  for (const auto& [a, b] : g.edges()) {
+    t.push_back({a, b, 1.0});
+    t.push_back({b, a, 1.0});
+  }
+  return CsrMatrix::FromTriplets(g.num_nodes(), g.num_nodes(), std::move(t));
+}
+
+TEST(AttributedGraphTest, AdjacencyMatchesTripletPath) {
+  // Empty graphs (no nodes, or nodes and no edges), sparse graphs with
+  // isolated nodes, and a complete graph.
+  Rng rng(23);
+  for (const int n : {0, 1, 2, 9, 60}) {
+    for (const double density : {0.0, 0.03, 0.3, 1.0}) {
+      AttributedGraph g(n);
+      for (int u = 0; u < n; ++u) {
+        for (int v = u + 1; v < n; ++v) {
+          if (rng.Bernoulli(density)) g.AddEdge(u, v);
+        }
+      }
+      SCOPED_TRACE("n " + std::to_string(n) + ", density " +
+                   std::to_string(density));
+      const CsrMatrix want = AdjacencyByTriplets(g);
+      const CsrMatrix got = g.Adjacency();
+      EXPECT_TRUE(got == want);
+      EXPECT_EQ(got.row_ptr(), want.row_ptr());
+      EXPECT_TRUE(g.NormalizedAdjacency() ==
+                  want.AddSelfLoops().SymmetricallyNormalized());
+    }
+  }
+}
+
+TEST(AttributedGraphTest, EdgesStaySortedUnderSingleEdits) {
+  AttributedGraph g(6);
+  for (const auto& [u, v] : std::vector<std::pair<int, int>>{
+           {5, 1}, {0, 4}, {3, 2}, {1, 0}, {4, 5}, {2, 1}, {0, 4}}) {
+    g.AddEdge(u, v);
+  }
+  EXPECT_EQ(g.edges(), (std::vector<std::pair<int, int>>{
+                           {0, 1}, {0, 4}, {1, 2}, {1, 5}, {2, 3}, {4, 5}}));
+  EXPECT_TRUE(g.RemoveEdge(5, 1));
+  EXPECT_FALSE(g.RemoveEdge(5, 1));
+  EXPECT_FALSE(g.RemoveEdge(3, 3));
+  EXPECT_FALSE(g.HasEdge(1, 5));
+  EXPECT_TRUE(g.HasEdge(3, 2));
+  EXPECT_EQ(g.edges(), (std::vector<std::pair<int, int>>{
+                           {0, 1}, {0, 4}, {1, 2}, {2, 3}, {4, 5}}));
+}
+
+TEST(AttributedGraphTest, SetEdgesCanonicalizes) {
+  AttributedGraph g(5);
+  g.SetEdges({{3, 1}, {0, 2}, {2, 2}, {1, 3}, {4, 0}, {0, 2}});
+  EXPECT_EQ(g.edges(),
+            (std::vector<std::pair<int, int>>{{0, 2}, {0, 4}, {1, 3}}));
+  // A canonical ascending list is taken as is.
+  g.SetEdges({{0, 1}, {1, 4}});
+  EXPECT_EQ(g.edges(), (std::vector<std::pair<int, int>>{{0, 1}, {1, 4}}));
+  g.SetEdges({});
+  EXPECT_EQ(g.num_edges(), 0);
+}
+
+TEST(AttributedGraphTest, EdgeBatchAnswersLikeAddEdge) {
+  AttributedGraph g(5);
+  g.AddEdge(0, 1);
+  g.AddEdge(2, 3);
+  AttributedGraph reference = g;
+  EdgeBatch batch(&g);
+  for (const auto& [u, v] : std::vector<std::pair<int, int>>{
+           {1, 0}, {4, 2}, {3, 3}, {2, 4}, {0, 4}, {3, 2}, {4, 0}, {1, 2}}) {
+    EXPECT_EQ(batch.Add(u, v), reference.AddEdge(u, v))
+        << "{" << u << ", " << v << "}";
+  }
+  EXPECT_EQ(g.num_edges(), 2);  // Nothing lands before the commit.
+  batch.Commit();
+  EXPECT_EQ(g.edges(), reference.edges());
+  EXPECT_TRUE(batch.Add(3, 4));  // The batch starts over after a commit.
+  EXPECT_FALSE(batch.Add(2, 4));
+  batch.Commit();
+  reference.AddEdge(3, 4);
+  EXPECT_EQ(g.edges(), reference.edges());
 }
 
 TEST(AttributedGraphTest, NormalizedAdjacencyHasSelfLoops) {

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -78,6 +80,19 @@ TEST(GraphIoTest, LoadRejectsOutOfRangeEdge) {
   }
   AttributedGraph g;
   EXPECT_FALSE(LoadGraph(path, &g));
+  std::remove(path.c_str());
+}
+
+TEST(GraphIoTest, LoadCanonicalizesAndDropsDuplicateEdges) {
+  const std::string path = TempPath("dupedges.graph");
+  {
+    std::ofstream out(path);
+    out << "rgae-graph 1 4 5 0 0\n3 1\n0 2\n1 3\n2 0\n0 2\n";
+  }
+  AttributedGraph g;
+  ASSERT_TRUE(LoadGraph(path, &g));
+  EXPECT_EQ(g.edges(),
+            (std::vector<std::pair<int, int>>{{0, 2}, {1, 3}}));
   std::remove(path.c_str());
 }
 

@@ -462,29 +462,39 @@ TEST(KernelEquivalenceTest, StudentTBitIdenticalAcrossIsas) {
 }
 
 TEST(KernelEquivalenceTest, GaussianBitIdenticalAcrossIsas) {
+  // Compared as bit patterns. The NaN case puts a NaN variance in
+  // component 0, in the AVX2 tier's first four-wide block when k >= 4: the
+  // floor must keep it, as std::max(var, 1e-6) does, so the row is NaN on
+  // both tiers.
   IsaGuard guard;
   Rng rng(8);
   for (const int n : {1, 5}) {
     for (const int d : {1, 3, 16}) {
       for (const int k : {2, 3, 4, 7, 9}) {
-        const AlignedVector z =
-            RandomBuffer(static_cast<size_t>(n) * d, rng);
-        const AlignedVector centers =
-            RandomBuffer(static_cast<size_t>(k) * d, rng);
-        AlignedVector variances(static_cast<size_t>(k) * d);
-        for (double& v : variances) {
-          // Include sub-epsilon variances: the 1e-6 clamp must bit-match.
-          v = rng.Bernoulli(0.2) ? 1e-9 : 0.1 + rng.Uniform();
-        }
-        AlignedVector want(static_cast<size_t>(n) * k, 0.0);
-        kernels::scalar::Gaussian(z.data(), n, d, centers.data(),
-                                  variances.data(), k, want.data());
-        for (Isa isa : kernels::SupportedIsas()) {
-          kernels::SetIsaForTesting(isa);
-          AlignedVector got(static_cast<size_t>(n) * k, 0.0);
-          kernels::Gaussian(z.data(), n, d, centers.data(), variances.data(),
-                            k, got.data());
-          ExpectBitEqual(got, want, "Gaussian", isa);
+        for (const bool nan_variance : {false, true}) {
+          const AlignedVector z =
+              RandomBuffer(static_cast<size_t>(n) * d, rng);
+          const AlignedVector centers =
+              RandomBuffer(static_cast<size_t>(k) * d, rng);
+          AlignedVector variances(static_cast<size_t>(k) * d);
+          for (double& v : variances) {
+            // Include sub-epsilon variances: the 1e-6 clamp must bit-match.
+            v = rng.Bernoulli(0.2) ? 1e-9 : 0.1 + rng.Uniform();
+          }
+          if (nan_variance) {
+            variances[0] = std::numeric_limits<double>::quiet_NaN();
+          }
+          AlignedVector want(static_cast<size_t>(n) * k, 0.0);
+          kernels::scalar::Gaussian(z.data(), n, d, centers.data(),
+                                    variances.data(), k, want.data());
+          for (Isa isa : kernels::SupportedIsas()) {
+            kernels::SetIsaForTesting(isa);
+            AlignedVector got(static_cast<size_t>(n) * k, 0.0);
+            kernels::Gaussian(z.data(), n, d, centers.data(),
+                              variances.data(), k, got.data());
+            ExpectSameBits(got.data(), want.data(), want.size(), "Gaussian",
+                           isa);
+          }
         }
       }
     }

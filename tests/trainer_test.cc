@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -10,7 +9,9 @@
 
 #include "src/graph/generators.h"
 #include "src/kernels/dispatch.h"
+#include "src/models/dgae.h"
 #include "src/models/gae.h"
+#include "src/models/gmm_vgae.h"
 #include "src/models/model_factory.h"
 
 namespace rgae {
@@ -216,22 +217,24 @@ TEST(TrainerTest, ImpossibleAlphaFallsBackToConfidentSubset) {
   }
 }
 
-/// GAE that counts its deterministic encodes. Training steps encode
+/// A model that counts its deterministic encodes. Training steps encode
 /// through BuildLossOnTape, so every counted call is an Embed().
-class CountingGae : public Gae {
+template <typename Base>
+class Counting : public Base {
  public:
-  using Gae::Gae;
+  using Base::Base;
   int encodes() const { return encodes_; }
 
  protected:
   Var EncodeOnTape(Tape* tape) const override {
     ++encodes_;
-    return Gae::EncodeOnTape(tape);
+    return Base::EncodeOnTape(tape);
   }
 
  private:
   mutable int encodes_ = 0;
 };
+using CountingGae = Counting<Gae>;
 
 TEST(TrainerTest, FirstGroupRefreshEmbedsOnce) {
   // Refreshes at pretrain epochs 10, 15, 20 and 25: Ξ's GMM fit, the
@@ -254,6 +257,45 @@ TEST(TrainerTest, FirstGroupRefreshEmbedsOnce) {
   EXPECT_NE(trainer.self_graph().edges(), g.edges());
 }
 
+/// Encodes made by the clustering phase of a second-group `Model`.
+template <typename Model>
+int ClusteringEncodes(const AttributedGraph& g, const TrainerOptions& opts) {
+  Model model(g, TinyModelOptions());
+  RGaeTrainer trainer(&model, opts);
+  trainer.Pretrain();
+  const int before = model.encodes();
+  const TrainResult result = trainer.TrainClustering();
+  EXPECT_EQ(result.cluster_epochs_run, opts.max_cluster_epochs);
+  if (opts.use_operators) {
+    EXPECT_NE(trainer.self_graph().edges(), g.edges());
+  }
+  return model.encodes() - before;
+}
+
+template <typename Model>
+void ExpectOneEmbedPerRefresh() {
+  // Ten clustering epochs with M₁ = M₂ = 5: Ω and A^self_clus are both
+  // refreshed at epochs 0 and 5. Each such epoch embeds once on top of what
+  // the operator-free run embeds (head init, target refreshes, the final
+  // evaluation); the head reads that embedding instead of embedding again.
+  // FD protection's one-shot Υ over 𝒱 embeds once more.
+  const AttributedGraph g = TinyGraph();
+  TrainerOptions opts = TinyTrainerOptions();
+  opts.max_cluster_epochs = 10;
+  opts.xi.alpha1 = 0.2;
+  opts.convergence_fraction = 2.0;  // Run every epoch.
+  const int plain = ClusteringEncodes<Model>(g, opts);
+  opts.use_operators = true;
+  EXPECT_EQ(ClusteringEncodes<Model>(g, opts), plain + 2);
+  opts.fd_protection = true;
+  EXPECT_EQ(ClusteringEncodes<Model>(g, opts), plain + 3);
+}
+
+TEST(TrainerTest, SecondGroupRefreshEmbedsOnce) {
+  ExpectOneEmbedPerRefresh<Counting<Dgae>>();
+  ExpectOneEmbedPerRefresh<Counting<GmmVgae>>();
+}
+
 uint64_t Bits(double v) {
   uint64_t b = 0;
   std::memcpy(&b, &v, sizeof(b));
@@ -264,7 +306,7 @@ uint64_t Bits(double v) {
 /// tier: the final weights and the self-supervision graph's edges.
 struct PinnedPretrain {
   std::vector<Matrix> weights;
-  std::set<std::pair<int, int>> edges;
+  std::vector<std::pair<int, int>> edges;
 };
 
 PinnedPretrain PretrainPinned(const AttributedGraph& g, kernels::Isa isa) {
