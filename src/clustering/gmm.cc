@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "src/clustering/kmeans.h"
 #include "src/kernels/kernels.h"
@@ -99,7 +100,7 @@ std::vector<int> GmmModel::HardAssignments(const Matrix& data) const {
 }
 
 GmmModel FitGmm(const Matrix& data, int k, Rng& rng,
-                const GmmOptions& options) {
+                const GmmOptions& options, Matrix* responsibilities) {
   assert(k > 0 && data.rows() >= k);
   const int n = data.rows();
   const int d = data.cols();
@@ -131,12 +132,13 @@ GmmModel FitGmm(const Matrix& data, int k, Rng& rng,
     }
   }
 
-  EmIterations(&model, data, options.max_iterations, options);
+  EmIterations(&model, data, options.max_iterations, options,
+               responsibilities);
   return model;
 }
 
 void EmIterations(GmmModel* model, const Matrix& data, int iterations,
-                  const GmmOptions& options) {
+                  const GmmOptions& options, Matrix* responsibilities) {
   RGAE_TIMED_KERNEL("kernel.gmm_em");
   const int n = data.rows();
   const int k = model->num_components();
@@ -158,6 +160,14 @@ void EmIterations(GmmModel* model, const Matrix& data, int iterations,
     const double ll = model->EStep(data, &resp);
     if (ll - prev_ll < options.tolerance) break;
     prev_ll = ll;
+  }
+  if (responsibilities != nullptr) {
+    // Every iteration ends with the E-step of the parameters it fitted.
+    if (iterations > 0) {
+      *responsibilities = std::move(resp);
+    } else {
+      model->EStep(data, responsibilities);
+    }
   }
   if (obs::Enabled()) {
     RGAE_COUNT("gmm.fits");

@@ -46,15 +46,22 @@ struct GmmOptions {
   double min_variance = 1e-6;
 };
 
-/// Fits a k-component diagonal GMM with k-means initialization.
+/// Fits a k-component diagonal GMM with k-means initialization. A non-null
+/// `responsibilities` receives the fitted model's Responsibilities(data),
+/// bit for bit, as EmIterations gives them.
 GmmModel FitGmm(const Matrix& data, int k, Rng& rng,
-                const GmmOptions& options = {});
+                const GmmOptions& options = {},
+                Matrix* responsibilities = nullptr);
 
 /// Runs up to `iterations` EM updates on an existing model (warm start).
 /// Stops early once the mean log-likelihood improves by less than
 /// `options.tolerance`. Used by GMM-VGAE to track the moving embedding.
+/// A non-null `responsibilities` receives the final model's
+/// Responsibilities(data), bit for bit: EM's last E-step already ran on
+/// the final parameters, so only `iterations == 0` costs an E-step more.
 void EmIterations(GmmModel* model, const Matrix& data, int iterations,
-                  const GmmOptions& options = {});
+                  const GmmOptions& options = {},
+                  Matrix* responsibilities = nullptr);
 
 }  // namespace rgae
 

@@ -68,6 +68,15 @@ AttributedGraph OperatorUpsilon(const AttributedGraph& original,
                                 const std::vector<int>& omega,
                                 const UpsilonOptions& options,
                                 UpsilonStats* stats) {
+  AttributedGraph out = original;  // A's nodes, features and labels.
+  out.SetEdges(OperatorUpsilonEdges(original, z, p, omega, options, stats));
+  return out;
+}
+
+std::vector<std::pair<int, int>> OperatorUpsilonEdges(
+    const AttributedGraph& original, const Matrix& z, const Matrix& p,
+    const std::vector<int>& omega, const UpsilonOptions& options,
+    UpsilonStats* stats) {
   RGAE_TIMED_KERNEL("op.upsilon");
   const int k = p.cols();
   assert(z.rows() == original.num_nodes() && p.rows() == original.num_nodes());
@@ -76,8 +85,8 @@ AttributedGraph OperatorUpsilon(const AttributedGraph& original,
   *st = UpsilonStats();
   st->centroids.assign(k, -1);
 
-  AttributedGraph out = original;  // A^self_clus starts from A (Alg. 2, l.4).
-  if (omega.empty()) return out;
+  // A^self_clus starts from A (Alg. 2, l.4).
+  if (omega.empty()) return original.edges();
 
   const std::vector<int> hard = HardAssign(p);
 
@@ -157,7 +166,6 @@ AttributedGraph OperatorUpsilon(const AttributedGraph& original,
     add(*next_star);
     edges.push_back(*next_star);
   }
-  out.SetEdges(std::move(edges));
   if (obs::Enabled()) {
     RGAE_COUNT("op.upsilon.calls");
     static obs::Counter* const added =
@@ -167,7 +175,7 @@ AttributedGraph OperatorUpsilon(const AttributedGraph& original,
     added->Inc(st->added_edges);
     dropped->Inc(st->dropped_edges);
   }
-  return out;
+  return edges;
 }
 
 }  // namespace rgae

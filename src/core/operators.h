@@ -1,6 +1,7 @@
 #ifndef RGAE_CORE_OPERATORS_H_
 #define RGAE_CORE_OPERATORS_H_
 
+#include <utility>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -80,6 +81,16 @@ AttributedGraph OperatorUpsilon(const AttributedGraph& original,
                                 const std::vector<int>& omega,
                                 const UpsilonOptions& options,
                                 UpsilonStats* stats = nullptr);
+
+/// The edges of `OperatorUpsilon(original, z, p, omega, options, stats)`
+/// (canonical, ascending, as `AttributedGraph::edges()` holds them), with
+/// the same `stats`, but without copying the graph's features and labels:
+/// for a caller that keeps its own copy of the graph and commits the edges
+/// with `AttributedGraph::SetEdges`.
+std::vector<std::pair<int, int>> OperatorUpsilonEdges(
+    const AttributedGraph& original, const Matrix& z, const Matrix& p,
+    const std::vector<int>& omega, const UpsilonOptions& options,
+    UpsilonStats* stats = nullptr);
 
 }  // namespace rgae
 

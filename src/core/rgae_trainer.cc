@@ -4,12 +4,14 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "src/clustering/assignments.h"
 #include "src/clustering/gmm.h"
 #include "src/clustering/kmeans.h"
 #include "src/core/fault_injection.h"
 #include "src/core/stop.h"
+#include "src/kernels/parallel.h"
 #include "src/metrics/fr_fd.h"
 #include "src/metrics/hungarian.h"
 #include "src/obs/log.h"
@@ -31,6 +33,21 @@ double Seconds(std::chrono::steady_clock::time_point begin) {
 // reads as one consistent run.
 void TruncateTrace(std::vector<EpochRecord>* trace, int epoch) {
   while (!trace->empty() && trace->back().epoch >= epoch) trace->pop_back();
+}
+
+// First-group soft assignments (Eq. 15 style): the responsibilities of a
+// GMM fitted on `z` from `rng`, as EM's last E-step left them.
+Matrix GmmSoftAssignments(const Matrix& z, int k, Rng& rng) {
+  Matrix p;
+  FitGmm(z, k, rng, {}, &p);
+  return p;
+}
+
+// Ξ's scores of `z` under soft assignments `p` (RGaeTrainer::XiScores):
+// the Student-t kernel against the means of p's hard clusters.
+Matrix StudentTScores(const Matrix& z, const Matrix& p, int k) {
+  const Matrix means = ClusterMeans(z, HardAssign(p), k);
+  return StudentTAssignments(z, means);
 }
 
 }  // namespace
@@ -66,36 +83,33 @@ Matrix RGaeTrainer::CurrentSoftAssignments(const Matrix& z) {
   // parameters are placeholders, so second-group models also take the GMM
   // path until the head is ready.
   if (model_->clustering_head_ready()) return model_->SoftAssignments(z);
-  // First-group models: fit a GMM on the embedding (Eq. 15 style soft
-  // scores come out of the responsibilities directly).
+  // First-group models: fit a GMM on the embedding.
   Rng fork = rng_.Fork();
-  const GmmModel gmm = FitGmm(z, k_, fork);
-  return gmm.Responsibilities(z);
+  return GmmSoftAssignments(z, k_, fork);
 }
 
 Matrix RGaeTrainer::XiScores() { return XiScores(model_->Embed()); }
 
 Matrix RGaeTrainer::XiScores(const Matrix& z) {
-  const std::vector<int> hard = HardAssign(CurrentSoftAssignments(z));
-  const Matrix means = ClusterMeans(z, hard, k_);
-  return StudentTAssignments(z, means);
+  return StudentTScores(z, CurrentSoftAssignments(z), k_);
 }
 
-std::vector<int> RGaeTrainer::SelectOmega(const Matrix& z) {
-  const Matrix scores = XiScores(z);
-  const XiResult xi = OperatorXi(scores, options_.xi);
-  if (!xi.omega.empty()) return xi.omega;
-  const int n = static_cast<int>(xi.lambda1.size());
-  const int want = std::max(k_, n / 20);
-  std::vector<int> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
-  std::partial_sort(order.begin(), order.begin() + want, order.end(),
-                    [&](int a, int b) {
-                      return xi.lambda1[a] > xi.lambda1[b];
-                    });
-  std::vector<int> omega(order.begin(), order.begin() + want);
-  std::sort(omega.begin(), omega.end());
-  return omega;
+std::vector<int> RGaeTrainer::SelectOmega(const Matrix& scores) {
+  XiResult xi = OperatorXi(scores, options_.xi);
+  if (xi.omega.empty()) {
+    const int n = static_cast<int>(xi.lambda1.size());
+    const int want = std::max(k_, n / 20);
+    std::vector<int> order(n);
+    for (int i = 0; i < n; ++i) order[i] = i;
+    std::partial_sort(order.begin(), order.begin() + want, order.end(),
+                      [&](int a, int b) {
+                        return xi.lambda1[a] > xi.lambda1[b];
+                      });
+    xi.omega.assign(order.begin(), order.begin() + want);
+    std::sort(xi.omega.begin(), xi.omega.end());
+  }
+  omega_ = xi.omega;
+  return std::move(xi.omega);
 }
 
 ClusteringScores RGaeTrainer::EvaluateNow(std::vector<int>* assignments) {
@@ -109,13 +123,37 @@ ClusteringScores RGaeTrainer::EvaluateNow(std::vector<int>* assignments) {
   return scores;
 }
 
-void RGaeTrainer::ApplyUpsilon(const Matrix& z, const std::vector<int>& omega,
+void RGaeTrainer::ApplyUpsilon(const Matrix& z, const Matrix& scores,
+                               const std::vector<int>& omega,
                                UpsilonStats* stats) {
-  // Use the Ξ scores so Ω membership and Υ's cluster ids agree.
-  const Matrix p = XiScores(z);
-  self_graph_ = OperatorUpsilon(model_->graph(), z, p, omega,
-                                options_.upsilon, stats);
+  // Υ takes its cluster ids from Ξ's scores. self_graph_ keeps its copy of
+  // A's features and labels; only the edges change.
+  self_graph_.SetEdges(OperatorUpsilonEdges(model_->graph(), z, scores, omega,
+                                            options_.upsilon, stats));
   RefreshReconTarget();
+}
+
+void RGaeTrainer::RefreshFirstGroupTarget() {
+  // One embedding per refresh: the weights do not move between Ξ and Υ,
+  // and Embed() draws no random numbers.
+  const Matrix z = model_->Embed();
+  // Ξ and Υ score Z under a GMM fit each, forked in this order. A fit reads
+  // only Z and its own fork, and nothing between the two forks draws from
+  // rng_, so the fits run as two pool tasks and give the same bits on any
+  // number of workers; on one CPU the pool runs them in order on this
+  // thread.
+  Rng forks[] = {rng_.Fork(), rng_.Fork()};  // Ξ's, then Υ's.
+  Matrix scores[2];
+  {
+    // Names this thread's fit and its wait for the other. A worker's fit
+    // opens its kernel spans as roots of that worker's thread.
+    RGAE_TIMED_KERNEL("op.refresh_fits");
+    kernels::ParallelFor(2, [&](int task, int /*worker*/) {
+      scores[task] =
+          StudentTScores(z, GmmSoftAssignments(z, k_, forks[task]), k_);
+    });
+  }
+  ApplyUpsilon(z, scores[1], SelectOmega(scores[0]), nullptr);
 }
 
 CsrMatrix RGaeTrainer::SupervisedOrientedGraph() {
@@ -250,11 +288,7 @@ bool RGaeTrainer::Pretrain() {
     if (first_group && options_.use_operators &&
         epoch >= options_.first_group_transform_start &&
         (epoch - options_.first_group_transform_start) % options_.m2 == 0) {
-      // One embedding per refresh: the weights do not move between Ξ and
-      // Υ, and Embed() draws no random numbers.
-      const Matrix z = model_->Embed();
-      const std::vector<int> omega = SelectOmega(z);
-      ApplyUpsilon(z, omega, nullptr);
+      RefreshFirstGroupTarget();
       ctx.recon = recon_;
     }
     if (resilient && epoch % CheckpointEvery() == 0) {
@@ -312,7 +346,8 @@ TrainResult RGaeTrainer::TrainClustering() {
 
   // Table 7 protection mode: one-shot transformation over the whole 𝒱.
   if (options_.use_operators && options_.fd_protection) {
-    ApplyUpsilon(model_->Embed(), all_nodes_, nullptr);
+    const Matrix z = model_->Embed();
+    ApplyUpsilon(z, XiScores(z), all_nodes_, nullptr);
   }
 
   std::vector<int> omega;  // Empty = clustering loss over all nodes.
@@ -339,14 +374,19 @@ TrainResult RGaeTrainer::TrainClustering() {
     const bool refresh_graph = options_.use_operators &&
                                !options_.fd_protection &&
                                epoch % options_.m2 == 0;
-    // Both refreshes of an epoch read one embedding.
-    Matrix z;
-    if (refresh_omega || refresh_graph) z = model_->Embed();
-    if (refresh_omega) omega = SelectOmega(z);
+    // Both refreshes of an epoch read one embedding and its Ξ scores: the
+    // head's scores are a function of Z alone.
+    Matrix z, scores;
+    if (refresh_omega || refresh_graph) {
+      z = model_->Embed();
+      scores = XiScores(z);
+    }
+    if (refresh_omega) omega = SelectOmega(scores);
     EpochRecord record;
     record.epoch = epoch;
     if (refresh_graph) {
-      ApplyUpsilon(z, xi_active ? omega : all_nodes_, &record.upsilon_stats);
+      ApplyUpsilon(z, scores, xi_active ? omega : all_nodes_,
+                   &record.upsilon_stats);
       record.upsilon_ran = true;
     }
     // Snapshot before the step (and before any injected fault) so a

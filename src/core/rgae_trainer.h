@@ -185,6 +185,10 @@ class RGaeTrainer {
   /// The current self-supervision graph A^self_clus.
   const AttributedGraph& self_graph() const { return self_graph_; }
 
+  /// The reliable set Ω that Ξ selected last, in either phase; empty
+  /// before the first selection.
+  const std::vector<int>& omega() const { return omega_; }
+
   /// Resilience outcome so far (useful between `Pretrain` and
   /// `TrainClustering`; `TrainResult` carries the same data for full runs).
   bool failed() const { return failed_; }
@@ -193,21 +197,26 @@ class RGaeTrainer {
   const std::vector<HealthEvent>& health_log() const { return health_log_; }
 
  private:
-  // CurrentSoftAssignments() and XiScores() of the embedding `z`, which a
-  // refresh computes once and hands to Ξ and Υ alike.
+  // CurrentSoftAssignments() and XiScores() of the embedding `z`. A
+  // second-group refresh computes the scores once and hands them to Ξ and
+  // Υ alike.
   Matrix CurrentSoftAssignments(const Matrix& z);
   Matrix XiScores(const Matrix& z);
-  // Runs Ξ on the scores of embedding `z`. If α₁/α₂ reject every node (the
-  // paper tunes α₁ as the largest value yielding a non-empty Ω), falls back
-  // to the most confident max(K, 5% of 𝒱) nodes so protection never
-  // silently degrades into training on all nodes.
-  std::vector<int> SelectOmega(const Matrix& z);
+  // Runs Ξ on `scores` (XiScores of the refresh's embedding) and records
+  // the result as omega(). If α₁/α₂ reject every node (the paper tunes α₁
+  // as the largest value yielding a non-empty Ω), falls back to the most
+  // confident max(K, 5% of 𝒱) nodes so protection never silently degrades
+  // into training on all nodes.
+  std::vector<int> SelectOmega(const Matrix& scores);
   // Rebuilds self_adj_ / recon_ from self_graph_.
   void RefreshReconTarget();
-  // Applies Υ to embedding `z` with the given reliable set and updates the
-  // recon target.
-  void ApplyUpsilon(const Matrix& z, const std::vector<int>& omega,
-                    UpsilonStats* stats);
+  // Applies Υ to embedding `z` under its Ξ scores `scores` with the given
+  // reliable set and updates the recon target.
+  void ApplyUpsilon(const Matrix& z, const Matrix& scores,
+                    const std::vector<int>& omega, UpsilonStats* stats);
+  // A first-group refresh during pretraining: embeds once, fits Ξ's and
+  // Υ's GMMs on that Z as two pool tasks, then runs Ξ and Υ.
+  void RefreshFirstGroupTarget();
   // Builds the supervised clustering-oriented graph Υ(A, Q', 𝒱).
   CsrMatrix SupervisedOrientedGraph();
   // Fills diagnostics into `record`.
@@ -236,6 +245,7 @@ class RGaeTrainer {
   CsrMatrix self_adj_;
   ReconTarget recon_;
   std::vector<int> all_nodes_;
+  std::vector<int> omega_;  // Ξ's latest selection.
 
   // True once a global stop was requested; checked at epoch boundaries.
   // The first positive check marks the run timed out and logs the stop.

@@ -6,10 +6,11 @@
 namespace rgae {
 namespace kernels {
 
-/// A fixed fork-join pool for the kernels that split one call into
-/// independent tasks (DESIGN.md §9). It holds one worker thread for each
-/// CPU in the process's affinity mask at first use, minus one: the calling
-/// thread is always worker 0. There is no setting for its size.
+/// A fixed fork-join pool for work that splits into independent tasks:
+/// the fused decoder's tiles and a first-group refresh's two GMM fits
+/// (DESIGN.md §9). It holds one worker thread for each CPU in the
+/// process's affinity mask at first use, minus one: the calling thread is
+/// always worker 0. There is no setting for its size.
 ///
 /// Policy:
 ///  - Tasks are claimed in index order from one shared counter; which

@@ -80,9 +80,10 @@ void GmmVgae::InitClusteringHead(int num_clusters, Rng& rng) {
 void GmmVgae::RefreshMixture() {
   GmmModel gmm = CurrentMixture();
   const Matrix z = Embed();
-  EmIterations(&gmm, z, /*iterations=*/5, ClusteringMixtureOptions());
+  Matrix resp;  // gmm.Responsibilities(z), from EM's last E-step.
+  EmIterations(&gmm, z, /*iterations=*/5, ClusteringMixtureOptions(), &resp);
   StoreMixture(gmm);
-  target_q_ = DecTargetDistribution(gmm.Responsibilities(z));
+  target_q_ = DecTargetDistribution(resp);
   steps_since_refresh_ = 0;
 }
 

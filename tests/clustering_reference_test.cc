@@ -4,7 +4,9 @@
 // test-local reference, and every result must match them bit for bit under
 // each supported kernel tier and draw the same random numbers, over 20
 // seeds at the air-traffic shapes (USA, Europe and Brazil: 420, 320 and
-// 130 nodes, k = 4, d = 16) and at k = 7.
+// 130 nodes, k = 4, d = 16) and at k = 7. The responsibilities FitGmm and
+// EmIterations hand back must be Responsibilities(data) of the fitted
+// model, bit for bit.
 
 #include <algorithm>
 #include <cmath>
@@ -398,6 +400,30 @@ TEST(ClusteringReferenceTest, FitGmmMatchesReferenceLoops) {
   }
 }
 
+TEST(ClusteringReferenceTest, FitGmmReturnsItsModelsResponsibilities) {
+  // Each EM iteration ends with the E-step of the parameters it fitted, so
+  // the matrix FitGmm returns is its model's Responsibilities(data); with
+  // no iteration FitGmm runs that E-step itself.
+  for (const Shape& s : kShapes) {
+    for (int seed = 1; seed <= kSeeds; ++seed) {
+      SCOPED_TRACE(std::string(s.name) + " seed " + std::to_string(seed));
+      const Matrix x = Embedding(s.n, s.k, 100 + seed);
+      ForEachTier([&] {
+        for (const int iterations : {0, 1, 100}) {
+          GmmOptions options;
+          options.max_iterations = iterations;
+          Rng rng(seed);
+          Matrix resp;
+          const GmmModel got = FitGmm(x, s.k, rng, options, &resp);
+          ExpectSameBits(resp, got.Responsibilities(x),
+                         "FitGmm(max_iterations = " +
+                             std::to_string(iterations) + ")");
+        }
+      });
+    }
+  }
+}
+
 TEST(ClusteringReferenceTest, EmIterationsMatchesReferenceLoops) {
   // Warm starts as GMM-VGAE makes them: five iterations on a moved
   // embedding, with its variance floor, and a run to convergence.
@@ -418,9 +444,13 @@ TEST(ClusteringReferenceTest, EmIterationsMatchesReferenceLoops) {
         reference::EmIterations(&want, moved, iterations, vgae);
         ForEachTier([&] {
           GmmModel got = start;
-          EmIterations(&got, moved, iterations, vgae);
-          ExpectSameModel(got, want,
-                          "EmIterations(" + std::to_string(iterations) + ")");
+          Matrix resp;
+          EmIterations(&got, moved, iterations, vgae, &resp);
+          const std::string what =
+              "EmIterations(" + std::to_string(iterations) + ")";
+          ExpectSameModel(got, want, what);
+          ExpectSameBits(resp, want.Responsibilities(moved),
+                         what + " responsibilities");
         });
       }
     }

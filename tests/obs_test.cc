@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -550,6 +551,61 @@ TEST(ObsIntegrationTest, TrainerRunPopulatesSpansAndMetrics) {
   ASSERT_TRUE(JsonValue::Parse(buffer.str(), &parsed, &error)) << error;
   EXPECT_GT(parsed.Get("traceEvents")->size(), 0u);
   std::remove(path.c_str());
+}
+
+TEST(ObsIntegrationTest, FirstGroupRefreshFitsStayOffTheCallersScope) {
+  // A first-group refresh fits its two GMMs as pool tasks inside one
+  // op.refresh_fits span. A fit on the calling thread nests under that
+  // span; a fit on a pool worker opens its kernel spans as roots of the
+  // worker's thread, never under the caller's scope, where they would
+  // overlap their siblings.
+  ObsScope scope;
+  const AttributedGraph g = TinyGraph();
+  ModelOptions mo;
+  mo.hidden_dim = 12;
+  mo.latent_dim = 6;
+  mo.seed = 5;
+  auto model = CreateModel("GAE", g, mo);
+  TrainerOptions opts;
+  opts.pretrain_epochs = 8;
+  opts.first_group_transform_start = 4;
+  opts.m2 = 1;
+  opts.seed = 11;
+  opts.use_operators = true;
+  opts.xi.alpha1 = 0.2;
+  RGaeTrainer trainer(model.get(), opts);
+  ASSERT_TRUE(trainer.Pretrain());
+
+  const std::vector<obs::TraceEvent> events =
+      obs::TraceCollector::Global().Snapshot();
+  uint64_t caller = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "train.pretrain") caller = e.tid;
+  }
+  int refreshes = 0;
+  int fits = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "op.refresh_fits") {
+      ++refreshes;
+      ASSERT_GE(e.parent, 0);
+      EXPECT_EQ(events[e.parent].name, "epoch.pretrain");
+      EXPECT_EQ(e.tid, caller);
+    }
+    if (e.name != "kernel.gmm_em") continue;
+    ++fits;
+    int up = e.parent;
+    while (up >= 0 && events[up].name != "op.refresh_fits") {
+      up = events[up].parent;
+    }
+    if (up >= 0) {
+      EXPECT_EQ(e.tid, caller);
+    } else {
+      EXPECT_EQ(e.parent, -1);
+      EXPECT_NE(e.tid, caller);
+    }
+  }
+  EXPECT_EQ(refreshes, 4);  // Epochs 4 to 7.
+  EXPECT_EQ(fits, 2 * refreshes);
 }
 
 }  // namespace

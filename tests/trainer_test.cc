@@ -217,13 +217,21 @@ TEST(TrainerTest, ImpossibleAlphaFallsBackToConfidentSubset) {
   }
 }
 
-/// A model that counts its deterministic encodes. Training steps encode
-/// through BuildLossOnTape, so every counted call is an Embed().
+/// A model that counts its deterministic encodes and its head's score
+/// calls. Training steps encode through BuildLossOnTape, so every counted
+/// encode is an Embed().
 template <typename Base>
 class Counting : public Base {
  public:
   using Base::Base;
   int encodes() const { return encodes_; }
+  int soft_assignments() const { return soft_assignments_; }
+
+  using Base::SoftAssignments;
+  Matrix SoftAssignments(const Matrix& z) const override {
+    ++soft_assignments_;
+    return Base::SoftAssignments(z);
+  }
 
  protected:
   Var EncodeOnTape(Tape* tape) const override {
@@ -233,6 +241,7 @@ class Counting : public Base {
 
  private:
   mutable int encodes_ = 0;
+  mutable int soft_assignments_ = 0;
 };
 using CountingGae = Counting<Gae>;
 
@@ -294,6 +303,27 @@ void ExpectOneEmbedPerRefresh() {
 TEST(TrainerTest, SecondGroupRefreshEmbedsOnce) {
   ExpectOneEmbedPerRefresh<Counting<Dgae>>();
   ExpectOneEmbedPerRefresh<Counting<GmmVgae>>();
+}
+
+TEST(TrainerTest, SecondGroupRefreshScoresOnce) {
+  // Ten clustering epochs with M₁ = M₂ = 5: epochs 0 and 5 refresh Ω and
+  // A^self_clus, and Ξ and Υ share one matrix of head scores, so each of
+  // those epochs reads the head once. The final evaluation reads it once
+  // more; the clustering steps score on the tape.
+  const AttributedGraph g = TinyGraph();
+  TrainerOptions opts = TinyTrainerOptions();
+  opts.use_operators = true;
+  opts.max_cluster_epochs = 10;
+  opts.xi.alpha1 = 0.2;
+  opts.convergence_fraction = 2.0;  // Run every epoch.
+  Counting<Dgae> model(g, TinyModelOptions());
+  RGaeTrainer trainer(&model, opts);
+  trainer.Pretrain();
+  EXPECT_EQ(model.soft_assignments(), 0);
+  const TrainResult result = trainer.TrainClustering();
+  EXPECT_EQ(result.cluster_epochs_run, 10);
+  EXPECT_EQ(model.soft_assignments(), 2 + 1);
+  EXPECT_NE(trainer.self_graph().edges(), g.edges());
 }
 
 uint64_t Bits(double v) {

@@ -1,10 +1,10 @@
-// OperatorUpsilon against the per-node edits Algorithm 2 describes, run on
-// a std::set edge store: the form Υ took before it became one merge of the
-// sorted star edges into the sorted edge array. That form is kept below as
-// a test-local reference. The output edges and every UpsilonStats field
-// must match it over random graphs, with and without labels, with empty Ω,
-// Ω = 𝒱, Ω unsorted or listing a node twice, tied embeddings, and each
-// add/drop ablation.
+// OperatorUpsilon and its edges-only form OperatorUpsilonEdges against the
+// per-node edits Algorithm 2 describes, run on a std::set edge store: the
+// form Υ took before it became one merge of the sorted star edges into the
+// sorted edge array. That form is kept below as a test-local reference.
+// The output edges and every UpsilonStats field must match it over random
+// graphs, with and without labels, with empty Ω, Ω = 𝒱, Ω unsorted or
+// listing a node twice, tied embeddings, and each add/drop ablation.
 
 #include <algorithm>
 #include <limits>
@@ -134,6 +134,16 @@ std::string Describe(const Case& c, const UpsilonOptions& o, int seed) {
          std::to_string(o.drop_edges);
 }
 
+void ExpectSameStats(const UpsilonStats& got, const UpsilonStats& want) {
+  EXPECT_EQ(got.added_edges, want.added_edges);
+  EXPECT_EQ(got.added_true, want.added_true);
+  EXPECT_EQ(got.added_false, want.added_false);
+  EXPECT_EQ(got.dropped_edges, want.dropped_edges);
+  EXPECT_EQ(got.dropped_true, want.dropped_true);
+  EXPECT_EQ(got.dropped_false, want.dropped_false);
+  EXPECT_EQ(got.centroids, want.centroids);
+}
+
 void ExpectMatchesReference(const Case& c, int seed) {
   Rng rng(static_cast<uint64_t>(seed));
   AttributedGraph g(c.n);
@@ -193,19 +203,18 @@ void ExpectMatchesReference(const Case& c, int seed) {
       UpsilonStats want;
       const std::set<reference::Edge> want_edges =
           reference::Upsilon(g, z, p, omega, o, &want);
+      const std::vector<reference::Edge> want_list(want_edges.begin(),
+                                                   want_edges.end());
       UpsilonStats got;
       const AttributedGraph out = OperatorUpsilon(g, z, p, omega, o, &got);
-      ASSERT_EQ(out.edges(), std::vector<reference::Edge>(want_edges.begin(),
-                                                          want_edges.end()));
+      ASSERT_EQ(out.edges(), want_list);
       EXPECT_EQ(out.num_nodes(), g.num_nodes());
       EXPECT_EQ(out.labels(), g.labels());
-      EXPECT_EQ(got.added_edges, want.added_edges);
-      EXPECT_EQ(got.added_true, want.added_true);
-      EXPECT_EQ(got.added_false, want.added_false);
-      EXPECT_EQ(got.dropped_edges, want.dropped_edges);
-      EXPECT_EQ(got.dropped_true, want.dropped_true);
-      EXPECT_EQ(got.dropped_false, want.dropped_false);
-      EXPECT_EQ(got.centroids, want.centroids);
+      ExpectSameStats(got, want);
+      UpsilonStats got_edges_only;
+      ASSERT_EQ(OperatorUpsilonEdges(g, z, p, omega, o, &got_edges_only),
+                want_list);
+      ExpectSameStats(got_edges_only, want);
     }
   }
 }
